@@ -189,6 +189,16 @@ def _train_config(cfg: dict, args, mode: str) -> TrainConfig:
         raise ConfigError(str(e)) from e
 
 
+def _default_level(study) -> str:
+    """The study's highest count level. The n2n halves and the "full" scan
+    they were split from are not count levels; a study without level
+    metadata falls back to its largest realization key."""
+    levels = study.metadata.get("levels")
+    if not levels:
+        return max(study.realizations)
+    return max(levels, key=lambda k: levels[k]["fraction"])
+
+
 def _load_net(path, expect: NetworkConfig | None = None):
     p = Path(path)
     if not p.exists():
@@ -427,7 +437,7 @@ def cmd_prune_eval(args) -> int:
     if not (study_dir / "study.json").exists():
         raise DataError(f"study not found at {study_dir}")
     study = load_study(study_dir)
-    level = args.level or max(study.realizations)
+    level = args.level or _default_level(study)
     if level not in study.realizations:
         raise DataError(f"study has no count level {level!r}")
     noisy = study.realizations[level][0]
@@ -483,7 +493,7 @@ def cmd_evaluate(args) -> int:
     if not rois_path.exists():
         raise ConfigError(f"missing ROI file: {rois_path}")
     rois = load_rois(rois_path)
-    level = args.level or max(study.realizations)
+    level = args.level or _default_level(study)
     if level not in study.realizations:
         raise DataError(f"study has no count level {level!r}")
     stack = study.realizations[level]
@@ -553,6 +563,18 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--seed", type=int, default=None)
         add_common(sp)
 
+    def add_mask_flags(sp):
+        add_train_flags(sp)
+        sp.add_argument("--phi", type=float, default=None, help="KSE threshold")
+        freeze = sp.add_mutually_exclusive_group()
+        freeze.add_argument(
+            "--freeze-last-layer", dest="freeze_last_layer",
+            action="store_true", default=None,
+        )
+        freeze.add_argument(
+            "--no-freeze-last-layer", dest="freeze_last_layer", action="store_false"
+        )
+
     sp = sub.add_parser("gen-data", help="generate a phantom dataset and test studies")
     sp.add_argument("config")
     add_common(sp)
@@ -563,29 +585,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_train)
 
     sp = sub.add_parser("tgd-finetune", help="masked fine-tuning of a pre-trained net")
-    add_train_flags(sp)
-    sp.add_argument("--phi", type=float, default=None, help="KSE threshold")
-    freeze = sp.add_mutually_exclusive_group()
-    freeze.add_argument(
-        "--freeze-last-layer", dest="freeze_last_layer",
-        action="store_true", default=None,
-    )
-    freeze.add_argument(
-        "--no-freeze-last-layer", dest="freeze_last_layer", action="store_false"
-    )
+    add_mask_flags(sp)
     sp.set_defaults(func=cmd_tgd_finetune)
 
     sp = sub.add_parser("n2n", help="online adaptation on one study's noise split")
-    add_train_flags(sp)
-    sp.add_argument("--phi", type=float, default=None, help="KSE threshold")
-    freeze = sp.add_mutually_exclusive_group()
-    freeze.add_argument(
-        "--freeze-last-layer", dest="freeze_last_layer",
-        action="store_true", default=None,
-    )
-    freeze.add_argument(
-        "--no-freeze-last-layer", dest="freeze_last_layer", action="store_false"
-    )
+    add_mask_flags(sp)
     sp.set_defaults(func=cmd_n2n)
 
     sp = sub.add_parser("kse-report", help="score a net and sweep drop thresholds")

@@ -6,6 +6,12 @@ the kernels of layer i-1 that produce a redundant input of layer i are the
 ones allowed to move. Masks act only on the update path; the forward pass
 never sees them.
 
+Every persisted array of a block (conv weight and bias, batchnorm gamma,
+beta, running mean and running variance) has the block's output channel on
+axis 0, so a block's one conv mask covers all of them. The optimizer step is
+a single flat Adam update over every trained array of the network, with the
+masks expanded once into a keep-vector over the same layout.
+
 The freeze contract is exact: a frozen channel's weights, bias, batchnorm
 affine terms, running statistics and optimizer moments are bit-identical
 after any number of masked steps. Frozen values are always carried through
@@ -20,8 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kse import KseConfig, KseReport, kse_scores
-from .model import Network, network_hash
-from .ops import BatchNormParams, BnStats, ConvParams
+from .model import BlockGrads, Network, block_arrays, network_hash
+from .ops import BatchNormParams, BnStats
 
 
 @dataclass
@@ -115,95 +121,73 @@ def remask(
     )
 
 
-@dataclass
-class AdamState:
-    """First/second moment estimates for one parameter array."""
-
-    m: np.ndarray
-    v: np.ndarray
-
-    @staticmethod
-    def zeros_like(a: np.ndarray) -> "AdamState":
-        return AdamState(np.zeros_like(a), np.zeros_like(a))
-
-
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
 
-def _adam(
-    param: np.ndarray,
-    grad: np.ndarray,
-    state: AdamState,
-    step: int,
-    lr: float,
-    keep: np.ndarray | None,
-) -> np.ndarray:
-    """One Adam step. Where ``keep`` is true the parameter and both moments
-    are copied through unchanged (the moments must not even decay, or a
-    later unfreeze would apply stale momentum)."""
-    m_new = ADAM_BETA1 * state.m + (1.0 - ADAM_BETA1) * grad
-    v_new = ADAM_BETA2 * state.v + (1.0 - ADAM_BETA2) * grad * grad
-    m_hat = m_new / (1.0 - ADAM_BETA1**step)
-    v_hat = v_new / (1.0 - ADAM_BETA2**step)
-    p_new = param - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
-    if keep is not None:
-        p_new = np.where(keep, param, p_new)
-        m_new = np.where(keep, state.m, m_new)
-        v_new = np.where(keep, state.v, v_new)
-    state.m, state.v = m_new, v_new
-    return p_new
+class MaskedAdam:
+    """Adam over every trained array of a network as one flat vector.
 
-
-def masked_update(
-    params: ConvParams,
-    grad_weights: np.ndarray,
-    grad_bias: np.ndarray | None,
-    mask: np.ndarray | None,
-    state_w: AdamState,
-    state_b: AdamState | None,
-    step: int,
-    lr: float,
-    weight_decay: float = 0.0,
-) -> None:
-    """Adam step on a conv layer with whole output channels frozen.
-
-    The weight-decay gradient is masked exactly like the loss gradient, and
-    the moments of frozen channels are not advanced. ``mask=None`` means
-    fully trainable.
+    The arrays are laid out block by block in ``block_arrays`` order. Each has
+    its block's output channel on axis 0, so a block's conv mask expands into
+    whole channel runs of every array (conv weight and bias, BN gamma and
+    beta) and one keep-vector freezes them all. Weight decay covers the conv
+    entries only. The flat moments live here; the network keeps its own
+    arrays and each step writes into them in place.
     """
-    if mask is not None and len(mask) != params.out_channels:
-        raise ValueError(
-            f"mask length {len(mask)} != output channels {params.out_channels}"
-        )
-    g_w = grad_weights
-    if weight_decay:
-        g_w = g_w + weight_decay * params.weights
-    keep_w = None if mask is None else (mask == 0)[:, None, None, None]
-    params.weights = _adam(params.weights, g_w, state_w, step, lr, keep_w)
-    if params.bias is not None:
-        g_b = grad_bias
-        if weight_decay:
-            g_b = g_b + weight_decay * params.bias
-        keep_b = None if mask is None else (mask == 0)
-        params.bias = _adam(params.bias, g_b, state_b, step, lr, keep_b)
 
+    def __init__(
+        self,
+        net: Network,
+        conv_masks: list[np.ndarray] | None,
+        lr: float,
+        weight_decay: float = 0.0,
+    ):
+        if conv_masks is not None and len(conv_masks) != net.depth:
+            raise ValueError(f"{len(conv_masks)} masks for {net.depth} blocks")
+        keep, decay, sizes = [], [], []
+        for i, blk in enumerate(net.blocks):
+            mask = None if conv_masks is None else conv_masks[i]
+            if mask is not None and len(mask) != blk.conv.out_channels:
+                raise ValueError(
+                    f"mask length {len(mask)} != output channels "
+                    f"{blk.conv.out_channels} in block {i}"
+                )
+            for name, arr in block_arrays(blk, trained_only=True):
+                sizes.append(arr.size)
+                if mask is not None:
+                    keep.append(np.repeat(mask == 0, arr.size // len(mask)))
+                wd = weight_decay if name.startswith("conv.") else 0.0
+                decay.append(np.full(arr.size, wd, arr.dtype))
+        self.lr = lr
+        self.t = 0
+        self.offsets = np.cumsum(sizes)[:-1]
+        self.keep = np.concatenate(keep) if keep else None
+        self.decay = np.concatenate(decay)
+        self.m = np.zeros(sum(sizes), np.float32)
+        self.v = np.zeros_like(self.m)
 
-def masked_bn_update(
-    params: BatchNormParams,
-    grad_gamma: np.ndarray,
-    grad_beta: np.ndarray,
-    bn_mask: np.ndarray | None,
-    state_gamma: AdamState,
-    state_beta: AdamState,
-    step: int,
-    lr: float,
-) -> None:
-    """Adam step on batchnorm gamma/beta with frozen channels carried through."""
-    keep = None if bn_mask is None else (bn_mask == 0)
-    params.gamma = _adam(params.gamma, grad_gamma, state_gamma, step, lr, keep)
-    params.beta = _adam(params.beta, grad_beta, state_beta, step, lr, keep)
+    def step(self, net: Network, grads: list[BlockGrads]) -> None:
+        """One Adam step. Where ``keep`` is true the parameter and both
+        moments are carried through unchanged (the moments must not even
+        decay, or a later unfreeze would apply stale momentum)."""
+        params = [a for blk in net.blocks for _, a in block_arrays(blk, trained_only=True)]
+        p = np.concatenate([a.ravel() for a in params])
+        g = np.concatenate([a.ravel() for bg in grads for a in bg.arrays()]) + self.decay * p
+        self.t += 1
+        m = ADAM_BETA1 * self.m + (1.0 - ADAM_BETA1) * g
+        v = ADAM_BETA2 * self.v + (1.0 - ADAM_BETA2) * g * g
+        m_hat = m / (1.0 - ADAM_BETA1**self.t)
+        v_hat = v / (1.0 - ADAM_BETA2**self.t)
+        p_new = p - self.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+        if self.keep is not None:
+            p_new = np.where(self.keep, p, p_new)
+            m = np.where(self.keep, self.m, m)
+            v = np.where(self.keep, self.v, v)
+        self.m, self.v = m, v
+        for a, chunk in zip(params, np.split(p_new, self.offsets)):
+            a[...] = chunk.reshape(a.shape)
 
 
 def commit_running_stats(

@@ -124,16 +124,29 @@ def build_network(config: NetworkConfig, seed: int, version_tag: str = "") -> Ne
     return Network(blocks, config, version_tag)
 
 
+def block_arrays(block: Block, trained_only: bool = False) -> list[tuple[str, np.ndarray]]:
+    """A block's persisted arrays in file order, with stable names.
+
+    Every one of them has the block's output channel on axis 0, so one
+    per-channel mask covers them all. ``trained_only`` leaves out the
+    batchnorm running statistics, which are committed, not stepped.
+    """
+    items = [("conv.weight", block.conv.weights)]
+    if block.conv.bias is not None:
+        items.append(("conv.bias", block.conv.bias))
+    if block.bn is not None:
+        items += [("bn.gamma", block.bn.gamma), ("bn.beta", block.bn.beta)]
+        if not trained_only:
+            items += [
+                ("bn.running_mean", block.bn.running_mean),
+                ("bn.running_var", block.bn.running_var),
+            ]
+    return items
+
+
 def num_parameters(net: Network) -> int:
     """Trainable parameter count (weights, biases, gamma, beta)."""
-    total = 0
-    for b in net.blocks:
-        total += b.conv.weights.size
-        if b.conv.bias is not None:
-            total += b.conv.bias.size
-        if b.bn is not None:
-            total += b.bn.gamma.size + b.bn.beta.size
-    return total
+    return sum(a.size for b in net.blocks for _, a in block_arrays(b, trained_only=True))
 
 
 @dataclass
@@ -206,6 +219,10 @@ class BlockGrads:
     gamma: np.ndarray | None
     beta: np.ndarray | None
 
+    def arrays(self) -> list[np.ndarray]:
+        """The gradients in ``block_arrays(block, trained_only=True)`` order."""
+        return [g for g in (self.weights, self.bias, self.gamma, self.beta) if g is not None]
+
 
 def backward(net: Network, caches: list[BlockCache], grad_y: np.ndarray) -> list[BlockGrads]:
     """Backprop grad_y (d loss / d output) through a cached train-mode forward.
@@ -239,30 +256,27 @@ def denoise_volume(net: Network, volume: np.ndarray) -> np.ndarray:
     """
     if volume.ndim != 3:
         raise ValueError(f"volume must be [S, H, W], got {volume.shape}")
-    s = volume.shape[0]
-    half = net.config.input_slices // 2
-    idx = np.clip(
-        np.arange(s)[:, None] + np.arange(-half, half + 1)[None, :], 0, s - 1
-    )
-    batch = volume[idx]  # [S, input_slices, H, W]
+    batch = volume_to_samples(volume, net.config.input_slices)
     out = forward(net, batch.astype(np.float32, copy=False), "infer")
     return out[:, 0]
 
 
+def volume_to_samples(volume: np.ndarray, input_slices: int) -> np.ndarray:
+    """[S, H, W] -> [S, input_slices, H, W] sliding slice windows with edge
+    replication, one sample centered on every slice."""
+    s = volume.shape[0]
+    half = input_slices // 2
+    idx = np.clip(np.arange(s)[:, None] + np.arange(-half, half + 1)[None, :], 0, s - 1)
+    return volume[idx]
+
+
 def _param_arrays(net: Network) -> list[tuple[str, np.ndarray]]:
     """All persisted arrays in declaration order, with stable names."""
-    items: list[tuple[str, np.ndarray]] = []
-    for i, b in enumerate(net.blocks):
-        tag = f"block{i:02d}"
-        items.append((f"{tag}.conv.weight", b.conv.weights))
-        if b.conv.bias is not None:
-            items.append((f"{tag}.conv.bias", b.conv.bias))
-        if b.bn is not None:
-            items.append((f"{tag}.bn.gamma", b.bn.gamma))
-            items.append((f"{tag}.bn.beta", b.bn.beta))
-            items.append((f"{tag}.bn.running_mean", b.bn.running_mean))
-            items.append((f"{tag}.bn.running_var", b.bn.running_var))
-    return items
+    return [
+        (f"block{i:02d}.{name}", arr)
+        for i, b in enumerate(net.blocks)
+        for name, arr in block_arrays(b)
+    ]
 
 
 def network_hash(net: Network) -> str:

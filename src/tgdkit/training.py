@@ -23,22 +23,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .kse import KseConfig, kse_scores
-from .masking import (
-    AdamState,
-    MaskSet,
-    build_masks,
-    commit_running_stats,
-    masked_bn_update,
-    masked_update,
-)
+from .masking import MaskedAdam, MaskSet, build_masks, commit_running_stats
 from .model import (
     Network,
     NetworkConfig,
     backward,
+    block_arrays,
     build_network,
     denoise_volume,
     forward_train,
     network_hash,
+    volume_to_samples,
 )
 
 MODES = ("scratch", "tgd_finetune", "n2n_online")
@@ -148,15 +143,6 @@ def mse_loss(pred: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
     return loss, grad
 
 
-def volume_to_samples(volume: np.ndarray, input_slices: int) -> np.ndarray:
-    """[S, H, W] -> [S, input_slices, H, W] sliding slice windows with edge
-    replication, one sample centered on every slice."""
-    s = volume.shape[0]
-    half = input_slices // 2
-    idx = np.clip(np.arange(s)[:, None] + np.arange(-half, half + 1)[None, :], 0, s - 1)
-    return volume[idx]
-
-
 def pairs_to_arrays(
     pairs: list[tuple[np.ndarray, np.ndarray]], input_slices: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -176,28 +162,6 @@ def pairs_to_arrays(
     )
 
 
-@dataclass
-class _OptSlot:
-    w: AdamState
-    b: AdamState | None
-    gamma: AdamState | None
-    beta: AdamState | None
-
-
-def _init_opt(net: Network) -> list[_OptSlot]:
-    slots = []
-    for blk in net.blocks:
-        slots.append(
-            _OptSlot(
-                AdamState.zeros_like(blk.conv.weights),
-                None if blk.conv.bias is None else AdamState.zeros_like(blk.conv.bias),
-                None if blk.bn is None else AdamState.zeros_like(blk.bn.gamma),
-                None if blk.bn is None else AdamState.zeros_like(blk.bn.beta),
-            )
-        )
-    return slots
-
-
 def _train_loop(
     net: Network,
     x: np.ndarray,
@@ -208,10 +172,9 @@ def _train_loop(
 ) -> list[float]:
     """Shared SGD loop; mutates net in place and returns per-epoch losses."""
     m = x.shape[0]
-    lr = config.effective_lr
-    slots = _init_opt(net)
+    conv_masks = None if masks is None else masks.conv_masks
+    opt = MaskedAdam(net, conv_masks, config.effective_lr, config.weight_decay)
     rng = np.random.default_rng(config.seed)
-    step = 0
     losses = []
     for _ in range(epochs):
         perm = rng.permutation(m)
@@ -222,36 +185,10 @@ def _train_loop(
             pred, caches = forward_train(net, xb)
             for i, blk in enumerate(net.blocks):
                 if blk.bn is not None:
-                    bn_mask = None if masks is None else masks.bn_masks[i]
-                    commit_running_stats(blk.bn, caches[i].bn_stats, bn_mask)
+                    mask = None if conv_masks is None else conv_masks[i]
+                    commit_running_stats(blk.bn, caches[i].bn_stats, mask)
             loss, grad_y = mse_loss(pred, yb)
-            grads = backward(net, caches, grad_y)
-            step += 1
-            for i, blk in enumerate(net.blocks):
-                conv_mask = None if masks is None else masks.conv_masks[i]
-                masked_update(
-                    blk.conv,
-                    grads[i].weights,
-                    grads[i].bias,
-                    conv_mask,
-                    slots[i].w,
-                    slots[i].b,
-                    step,
-                    lr,
-                    config.weight_decay,
-                )
-                if blk.bn is not None:
-                    bn_mask = None if masks is None else masks.bn_masks[i]
-                    masked_bn_update(
-                        blk.bn,
-                        grads[i].gamma,
-                        grads[i].beta,
-                        bn_mask,
-                        slots[i].gamma,
-                        slots[i].beta,
-                        step,
-                        lr,
-                    )
+            opt.step(net, backward(net, caches, grad_y))
             epoch_loss += loss * len(idx)
         losses.append(epoch_loss / m)
     return losses
@@ -306,19 +243,9 @@ def _assert_frozen_exact(before: Network, after: Network, masks: MaskSet) -> Non
     """Hard internal check of the freeze contract after a full run."""
     for i, (ba, bb) in enumerate(zip(before.blocks, after.blocks)):
         frozen = masks.conv_masks[i] == 0
-        if not np.array_equal(ba.conv.weights[frozen], bb.conv.weights[frozen]):
-            raise RuntimeError(f"frozen conv weights moved in block {i}")
-        if ba.conv.bias is not None and not np.array_equal(
-            ba.conv.bias[frozen], bb.conv.bias[frozen]
-        ):
-            raise RuntimeError(f"frozen conv bias moved in block {i}")
-        if ba.bn is not None:
-            bn_frozen = masks.bn_masks[i] == 0
-            for name in ("gamma", "beta", "running_mean", "running_var"):
-                if not np.array_equal(
-                    getattr(ba.bn, name)[bn_frozen], getattr(bb.bn, name)[bn_frozen]
-                ):
-                    raise RuntimeError(f"frozen bn {name} moved in block {i}")
+        for (name, a), (_, b) in zip(block_arrays(ba), block_arrays(bb)):
+            if not np.array_equal(a[frozen], b[frozen]):
+                raise RuntimeError(f"frozen {name} moved in block {i}")
 
 
 def finetune_tgd(

@@ -168,3 +168,92 @@ def ensemble_cov_loop(realizations, bg_voxels):
         grand += mean
     grand /= len(bg_voxels)
     return (sum(stds) / len(stds)) / grand * 100.0
+
+
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
+class AdamState:
+    """First/second moment estimates for one parameter array."""
+
+    def __init__(self, a):
+        self.m = np.zeros_like(a)
+        self.v = np.zeros_like(a)
+
+
+def adam_reference(param, grad, state, step, lr, keep):
+    """One Adam step on one array; where ``keep`` is true the parameter and
+    both moments are carried through unchanged."""
+    m_new = ADAM_BETA1 * state.m + (1.0 - ADAM_BETA1) * grad
+    v_new = ADAM_BETA2 * state.v + (1.0 - ADAM_BETA2) * grad * grad
+    m_hat = m_new / (1.0 - ADAM_BETA1**step)
+    v_hat = v_new / (1.0 - ADAM_BETA2**step)
+    p_new = param - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+    if keep is not None:
+        p_new = np.where(keep, param, p_new)
+        m_new = np.where(keep, state.m, m_new)
+        v_new = np.where(keep, state.v, v_new)
+    state.m, state.v = m_new, v_new
+    return p_new
+
+
+def masked_conv_update_reference(params, gw, gb, mask, sw, sb, step, lr, weight_decay):
+    """Per-array masked Adam on a conv layer: weight decay on weight and
+    bias, whole output channels frozen where the mask is 0."""
+    if weight_decay:
+        gw = gw + weight_decay * params.weights
+    keep_w = None if mask is None else (mask == 0)[:, None, None, None]
+    params.weights = adam_reference(params.weights, gw, sw, step, lr, keep_w)
+    if params.bias is not None:
+        if weight_decay:
+            gb = gb + weight_decay * params.bias
+        keep_b = None if mask is None else (mask == 0)
+        params.bias = adam_reference(params.bias, gb, sb, step, lr, keep_b)
+
+
+def masked_bn_update_reference(params, gg, gb, mask, sg, sb, step, lr):
+    """Per-array masked Adam on batchnorm gamma/beta, no weight decay."""
+    keep = None if mask is None else (mask == 0)
+    params.gamma = adam_reference(params.gamma, gg, sg, step, lr, keep)
+    params.beta = adam_reference(params.beta, gb, sb, step, lr, keep)
+
+
+class PerLayerAdam:
+    """The masked Adam step taken one array at a time: one moment pair per
+    conv weight, conv bias, BN gamma and BN beta, one call per layer."""
+
+    def __init__(self, net, conv_masks, lr, weight_decay=0.0):
+        self.masks = conv_masks
+        self.lr, self.weight_decay, self.t = lr, weight_decay, 0
+        self.states = []
+        for blk in net.blocks:
+            s = [AdamState(blk.conv.weights)]
+            if blk.conv.bias is not None:
+                s.append(AdamState(blk.conv.bias))
+            if blk.bn is not None:
+                s += [AdamState(blk.bn.gamma), AdamState(blk.bn.beta)]
+            self.states.append(s)
+
+    def step(self, net, grads):
+        self.t += 1
+        for i, (blk, g, s) in enumerate(zip(net.blocks, grads, self.states)):
+            mask = None if self.masks is None else self.masks[i]
+            sb = s[1] if blk.conv.bias is not None else None
+            masked_conv_update_reference(
+                blk.conv, g.weights, g.bias, mask, s[0], sb,
+                self.t, self.lr, self.weight_decay,
+            )
+            if blk.bn is not None:
+                masked_bn_update_reference(
+                    blk.bn, g.gamma, g.beta, mask, s[-2], s[-1], self.t, self.lr
+                )
+
+    def moments(self):
+        """Both moments flattened block by block, array by array."""
+        flat = [st for s in self.states for st in s]
+        return (
+            np.concatenate([st.m.ravel() for st in flat]),
+            np.concatenate([st.v.ravel() for st in flat]),
+        )

@@ -226,6 +226,9 @@ class TestPruneEval:
         rows = json.loads((tmp_path / "o" / "prune_eval.json").read_text())["rows"]
         fracs = [r["dropped_fraction"] for r in rows]
         assert all(b >= a for a, b in zip(fracs, fracs[1:]))
+        # the default level is the highest count level, not the n2n split
+        manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
+        assert manifest["config"]["level"] == "1"
 
 
 class TestEvaluate:
@@ -284,6 +287,18 @@ class TestEvaluate:
         rep = json.loads((tmp_path / "o" / "metrics.json").read_text())
         assert rep["background_cov_pct"] is None
         assert "lesion_bias_pct" in rep
+
+    def test_default_level_is_highest_count_level(self, workspace, tmp_path):
+        # the probe study also holds "n2n" and "full" realizations, which
+        # are not count levels
+        assert main([
+            "evaluate", str(workspace / "base" / "weights.tgdw"),
+            str(workspace / "data" / "studies" / "probe"),
+            "--out", str(tmp_path / "o"),
+        ]) == 0
+        rep = json.loads((tmp_path / "o" / "metrics.json").read_text())
+        assert rep["level"] == "1"
+        assert rep["n_realizations"] == 3
 
     def test_missing_roi_file_exit_2(self, workspace, tmp_path):
         study_dir = workspace / "data" / "studies" / "probe"

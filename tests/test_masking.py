@@ -2,19 +2,21 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import PerLayerAdam
 from tgdkit.kse import kse_scores
-from tgdkit.masking import (
-    AdamState,
-    MaskSet,
-    build_masks,
-    commit_running_stats,
-    masked_bn_update,
-    masked_update,
-    remask,
+from tgdkit.masking import MaskedAdam, MaskSet, build_masks, commit_running_stats, remask
+from tgdkit.model import (
+    BlockGrads,
+    NetworkConfig,
+    backward,
+    block_arrays,
+    build_network,
+    forward_train,
+    network_hash,
 )
-from tgdkit.model import NetworkConfig, build_network, network_hash
-from tgdkit.ops import BatchNormParams, ConvParams, batchnorm_forward
 
 
 def toy_net(seed=0, depth=4, channels=3):
@@ -75,188 +77,181 @@ class TestBuildMasks:
         assert doc["generation"] == 1
 
 
-class TestMaskedUpdate:
-    def step(self, params, grads, mask, states=None, step=1, lr=1e-2, wd=0.0):
-        gw, gb = grads
-        if states is None:
-            states = (
-                AdamState.zeros_like(params.weights),
-                None if params.bias is None else AdamState.zeros_like(params.bias),
-            )
-        masked_update(params, gw, gb, mask, states[0], states[1], step, lr, wd)
-        return states
+def random_grads(net, rng):
+    def like(a):
+        return rng.standard_normal(a.shape).astype(np.float32)
 
+    return [
+        BlockGrads(
+            like(b.conv.weights),
+            None if b.conv.bias is None else like(b.conv.bias),
+            None if b.bn is None else like(b.bn.gamma),
+            None if b.bn is None else like(b.bn.beta),
+        )
+        for b in net.blocks
+    ]
+
+
+def channel_masks(net, pattern):
+    """One mask per block, cycling ``pattern`` over its output channels."""
+    return [
+        np.resize(np.array(pattern, np.uint8), b.conv.out_channels) for b in net.blocks
+    ]
+
+
+def trained(net):
+    return [a for b in net.blocks for _, a in block_arrays(b, trained_only=True)]
+
+
+def per_channel(net, masks):
+    """(array, its block's mask) for every trained array."""
+    return [
+        (a, m) for b, m in zip(net.blocks, masks)
+        for _, a in block_arrays(b, trained_only=True)
+    ]
+
+
+class TestMaskedUpdate:
     def test_all_zero_mask_is_a_no_op(self):
-        rng = np.random.default_rng(0)
-        params = ConvParams(
-            rng.standard_normal((3, 2, 3, 3)).astype(np.float32),
-            rng.standard_normal(3).astype(np.float32),
-        )
-        w0, b0 = params.weights.copy(), params.bias.copy()
-        grads = (
-            rng.standard_normal(params.weights.shape).astype(np.float32),
-            rng.standard_normal(3).astype(np.float32),
-        )
-        self.step(params, grads, np.zeros(3, np.uint8), wd=1e-4)
-        np.testing.assert_array_equal(params.weights, w0)
-        np.testing.assert_array_equal(params.bias, b0)
+        net = toy_net(seed=1)
+        before = network_hash(net)
+        opt = MaskedAdam(net, channel_masks(net, [0]), 1e-2, weight_decay=1e-4)
+        opt.step(net, random_grads(net, np.random.default_rng(0)))
+        assert network_hash(net) == before
 
     def test_all_one_mask_equals_unmasked(self):
         rng = np.random.default_rng(1)
-        w = rng.standard_normal((3, 2, 3, 3)).astype(np.float32)
-        b = rng.standard_normal(3).astype(np.float32)
-        gw = rng.standard_normal(w.shape).astype(np.float32)
-        gb = rng.standard_normal(3).astype(np.float32)
-
-        masked = ConvParams(w.copy(), b.copy())
-        plain = ConvParams(w.copy(), b.copy())
-        self.step(masked, (gw, gb), np.ones(3, np.uint8), wd=1e-5)
-        self.step(plain, (gw, gb), None, wd=1e-5)
-        np.testing.assert_array_equal(masked.weights, plain.weights)
-        np.testing.assert_array_equal(masked.bias, plain.bias)
+        masked, plain = toy_net(seed=2), toy_net(seed=2)
+        opt_m = MaskedAdam(masked, channel_masks(masked, [1]), 1e-2, weight_decay=1e-5)
+        opt_p = MaskedAdam(plain, None, 1e-2, weight_decay=1e-5)
+        for _ in range(3):
+            grads = random_grads(plain, rng)
+            opt_m.step(masked, grads)
+            opt_p.step(plain, grads)
+        assert network_hash(masked) == network_hash(plain)
+        np.testing.assert_array_equal(opt_m.m, opt_p.m)
+        np.testing.assert_array_equal(opt_m.v, opt_p.v)
 
     def test_mixed_mask_matches_per_channel_reference(self):
-        rng = np.random.default_rng(2)
-        w = rng.standard_normal((2, 2, 3, 3)).astype(np.float32)
-        b = rng.standard_normal(2).astype(np.float32)
-        gw = rng.standard_normal(w.shape).astype(np.float32)
-        gb = rng.standard_normal(2).astype(np.float32)
-
-        masked = ConvParams(w.copy(), b.copy())
-        plain = ConvParams(w.copy(), b.copy())
-        self.step(masked, (gw, gb), np.array([1, 0], np.uint8))
-        self.step(plain, (gw, gb), None)
-        # retrained channel moves exactly as the unmasked step moves it
-        np.testing.assert_array_equal(masked.weights[0], plain.weights[0])
-        np.testing.assert_array_equal(masked.bias[0], plain.bias[0])
-        # frozen channel is bit-identical to its start
-        np.testing.assert_array_equal(masked.weights[1], w[1])
-        np.testing.assert_array_equal(masked.bias[1], b[1])
+        start = toy_net(seed=3, channels=2)
+        masked, plain = start.copy(), start.copy()
+        masks = channel_masks(start, [1, 0])
+        grads = random_grads(start, np.random.default_rng(2))
+        MaskedAdam(masked, masks, 1e-2).step(masked, grads)
+        MaskedAdam(plain, None, 1e-2).step(plain, grads)
+        for (a, mask), s, p in zip(per_channel(masked, masks), trained(start), trained(plain)):
+            # retrained channels move exactly as the unmasked step moves them
+            np.testing.assert_array_equal(a[mask == 1], p[mask == 1])
+            # frozen channels are bit-identical to their start
+            np.testing.assert_array_equal(a[mask == 0], s[mask == 0])
+            assert not np.array_equal(a[mask == 1], s[mask == 1])
 
     def test_masked_step_equals_unmasked_step_plus_restore(self):
-        rng = np.random.default_rng(3)
-        w = rng.standard_normal((4, 3, 3, 3)).astype(np.float32)
-        b = rng.standard_normal(4).astype(np.float32)
-        mask = np.array([1, 0, 1, 0], np.uint8)
-        gw = rng.standard_normal(w.shape).astype(np.float32)
-        gb = rng.standard_normal(4).astype(np.float32)
-
-        masked = ConvParams(w.copy(), b.copy())
-        self.step(masked, (gw, gb), mask, wd=1e-5)
-
-        plain = ConvParams(w.copy(), b.copy())
-        self.step(plain, (gw, gb), None, wd=1e-5)
-        restored_w = plain.weights.copy()
-        restored_b = plain.bias.copy()
-        restored_w[mask == 0] = w[mask == 0]
-        restored_b[mask == 0] = b[mask == 0]
-        np.testing.assert_array_equal(masked.weights, restored_w)
-        np.testing.assert_array_equal(masked.bias, restored_b)
+        start = toy_net(seed=4, channels=4)
+        masks = channel_masks(start, [1, 0])
+        grads = random_grads(start, np.random.default_rng(3))
+        masked, plain = start.copy(), start.copy()
+        MaskedAdam(masked, masks, 1e-2, weight_decay=1e-5).step(masked, grads)
+        MaskedAdam(plain, None, 1e-2, weight_decay=1e-5).step(plain, grads)
+        for (p, mask), s in zip(per_channel(plain, masks), trained(start)):
+            p[mask == 0] = s[mask == 0]
+        assert network_hash(masked) == network_hash(plain)
 
     def test_frozen_moments_not_advanced(self):
-        rng = np.random.default_rng(4)
-        params = ConvParams(rng.standard_normal((2, 1, 3, 3)).astype(np.float32))
-        state = AdamState.zeros_like(params.weights)
-        state.m[:] = 0.5
-        state.v[:] = 0.25
-        gw = rng.standard_normal(params.weights.shape).astype(np.float32)
-        masked_update(
-            params, gw, None, np.array([0, 1], np.uint8), state, None, 1, 1e-3
-        )
-        assert np.all(state.m[0] == 0.5) and np.all(state.v[0] == 0.25)
-        assert not np.all(state.m[1] == 0.5)
+        net = toy_net(seed=5)
+        opt = MaskedAdam(net, channel_masks(net, [0, 1]), 1e-3)
+        opt.m[:] = 0.5
+        opt.v[:] = 0.25
+        opt.step(net, random_grads(net, np.random.default_rng(4)))
+        assert np.all(opt.m[opt.keep] == 0.5) and np.all(opt.v[opt.keep] == 0.25)
+        assert not np.any(opt.m[~opt.keep] == 0.5)
 
     def test_bad_mask_length_rejected(self):
-        params = ConvParams(np.zeros((3, 1, 3, 3), np.float32), np.zeros(3, np.float32))
+        net = toy_net()
+        masks = channel_masks(net, [1])
+        masks[1] = np.ones(net.blocks[1].conv.out_channels - 1, np.uint8)
         with pytest.raises(ValueError, match="mask length"):
-            masked_update(
-                params,
-                np.zeros_like(params.weights),
-                np.zeros(3, np.float32),
-                np.zeros(2, np.uint8),
-                AdamState.zeros_like(params.weights),
-                AdamState.zeros_like(params.bias),
-                1,
-                1e-3,
-            )
-
-
-def fresh_bn(c, rng):
-    return BatchNormParams(
-        gamma=rng.standard_normal(c).astype(np.float32) + 1.0,
-        beta=rng.standard_normal(c).astype(np.float32),
-        running_mean=rng.standard_normal(c).astype(np.float32),
-        running_var=np.abs(rng.standard_normal(c)).astype(np.float32) + 0.5,
-    )
+            MaskedAdam(net, masks, 1e-3)
 
 
 class TestMaskedBnUpdate:
-    def test_all_zero_mask_freezes_affine_and_stats(self):
-        rng = np.random.default_rng(5)
-        bn = fresh_bn(3, rng)
-        g0, b0 = bn.gamma.copy(), bn.beta.copy()
-        rm0, rv0 = bn.running_mean.copy(), bn.running_var.copy()
-        mask = np.zeros(3, np.uint8)
+    def train_steps(self, net, masks, n, seed):
+        """``n`` masked training steps on random data, with running stats."""
+        rng = np.random.default_rng(seed)
+        opt = MaskedAdam(net, masks, 1e-2)
+        for _ in range(n):
+            x = rng.standard_normal((2, 3, 5, 5)).astype(np.float32)
+            pred, caches = forward_train(net, x)
+            for blk, cache, mask in zip(net.blocks, caches, masks):
+                if blk.bn is not None:
+                    commit_running_stats(blk.bn, cache.bn_stats, mask)
+            opt.step(net, backward(net, caches, pred - x[:, 1:2]))
 
-        x = rng.standard_normal((4, 3, 5, 5)).astype(np.float32)
-        _, stats = batchnorm_forward(x, bn, "train")
-        commit_running_stats(bn, stats, mask)
-        masked_bn_update(
-            bn,
-            rng.standard_normal(3).astype(np.float32),
-            rng.standard_normal(3).astype(np.float32),
-            mask,
-            AdamState.zeros_like(bn.gamma),
-            AdamState.zeros_like(bn.beta),
-            1,
-            1e-2,
-        )
-        np.testing.assert_array_equal(bn.gamma, g0)
-        np.testing.assert_array_equal(bn.beta, b0)
-        np.testing.assert_array_equal(bn.running_mean, rm0)
-        np.testing.assert_array_equal(bn.running_var, rv0)
+    def test_all_zero_mask_freezes_affine_and_stats(self):
+        net = toy_net(seed=6)
+        before = network_hash(net)
+        self.train_steps(net, channel_masks(net, [0]), 1, seed=5)
+        assert network_hash(net) == before
 
     def test_all_one_mask_is_standard_step(self):
         rng = np.random.default_rng(6)
-        bn_a = fresh_bn(2, rng)
-        bn_b = BatchNormParams(
-            bn_a.gamma.copy(), bn_a.beta.copy(),
-            bn_a.running_mean.copy(), bn_a.running_var.copy(),
-        )
-        gg = rng.standard_normal(2).astype(np.float32)
-        gb = rng.standard_normal(2).astype(np.float32)
-        masked_bn_update(
-            bn_a, gg, gb, np.ones(2, np.uint8),
-            AdamState.zeros_like(bn_a.gamma), AdamState.zeros_like(bn_a.beta), 1, 1e-2,
-        )
-        masked_bn_update(
-            bn_b, gg, gb, None,
-            AdamState.zeros_like(bn_b.gamma), AdamState.zeros_like(bn_b.beta), 1, 1e-2,
-        )
-        np.testing.assert_array_equal(bn_a.gamma, bn_b.gamma)
-        np.testing.assert_array_equal(bn_a.beta, bn_b.beta)
+        bn_a, bn_b = toy_net(seed=7), toy_net(seed=7)
+        grads = random_grads(bn_a, rng)
+        MaskedAdam(bn_a, channel_masks(bn_a, [1]), 1e-2).step(bn_a, grads)
+        MaskedAdam(bn_b, None, 1e-2).step(bn_b, grads)
+        for a, b in zip(bn_a.blocks, bn_b.blocks):
+            if a.bn is not None:
+                np.testing.assert_array_equal(a.bn.gamma, b.bn.gamma)
+                np.testing.assert_array_equal(a.bn.beta, b.bn.beta)
 
     def test_mixed_mask_longitudinal_freeze(self):
-        rng = np.random.default_rng(7)
-        bn = fresh_bn(4, rng)
-        mask = np.array([1, 0, 1, 0], np.uint8)
-        frozen_gamma = bn.gamma[mask == 0].copy()
-        frozen_rm = bn.running_mean[mask == 0].copy()
-        sg = AdamState.zeros_like(bn.gamma)
-        sb = AdamState.zeros_like(bn.beta)
-        for step in range(1, 101):
-            x = rng.standard_normal((2, 4, 4, 4)).astype(np.float32)
-            _, stats = batchnorm_forward(x, bn, "train")
-            commit_running_stats(bn, stats, mask)
-            masked_bn_update(
-                bn,
-                rng.standard_normal(4).astype(np.float32),
-                rng.standard_normal(4).astype(np.float32),
-                mask, sg, sb, step, 1e-2,
-            )
-        np.testing.assert_array_equal(bn.gamma[mask == 0], frozen_gamma)
-        np.testing.assert_array_equal(bn.running_mean[mask == 0], frozen_rm)
-        assert not np.array_equal(bn.gamma[mask == 1], frozen_gamma)
+        net = toy_net(seed=8, channels=4)
+        masks = channel_masks(net, [1, 0])
+        start = net.copy()
+        self.train_steps(net, masks, 100, seed=7)
+        for before, after, mask in zip(start.blocks, net.blocks, masks):
+            if after.bn is None:
+                continue
+            for name in ("gamma", "beta", "running_mean", "running_var"):
+                a, b = getattr(before.bn, name), getattr(after.bn, name)
+                np.testing.assert_array_equal(b[mask == 0], a[mask == 0])
+            assert not np.array_equal(after.bn.gamma[mask == 1], before.bn.gamma[mask == 1])
+
+
+class TestMaskedAdamMatchesPerLayerReference:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        depth=st.integers(3, 4),
+        channels=st.integers(1, 4),
+        input_slices=st.sampled_from([1, 3]),
+        masked=st.booleans(),
+        weight_decay=st.sampled_from([0.0, 1e-5]),
+        steps=st.integers(1, 20),
+    )
+    def test_bit_identical_to_per_layer_reference(
+        self, seed, depth, channels, input_slices, masked, weight_decay, steps
+    ):
+        rng = np.random.default_rng(seed)
+        net = build_network(NetworkConfig(depth, channels, input_slices), seed=seed)
+        for a in trained(net):
+            a[...] = rng.standard_normal(a.shape)
+        masks = None
+        if masked:
+            masks = [rng.integers(0, 2, b.conv.out_channels).astype(np.uint8)
+                     for b in net.blocks]
+        flat, ref = net.copy(), net.copy()
+        opt = MaskedAdam(flat, masks, 1e-2, weight_decay)
+        oracle = PerLayerAdam(ref, masks, 1e-2, weight_decay)
+        for _ in range(steps):
+            grads = random_grads(net, rng)
+            opt.step(flat, grads)
+            oracle.step(ref, grads)
+        for a, b in zip(trained(flat), trained(ref)):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        m_ref, v_ref = oracle.moments()
+        assert opt.m.tobytes() == m_ref.tobytes()
+        assert opt.v.tobytes() == v_ref.tobytes()
 
 
 class TestRemask:
