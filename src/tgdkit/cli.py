@@ -2,9 +2,11 @@
 
 Every subcommand reads a JSON config (flags override file values), writes
 its outputs plus a run manifest into one output directory, and exits 0 on
-success, 2 on config problems, 3 on data/weight problems. The manifest
-echoes the fully resolved config and hashes every input and output, so a
-run can be reproduced byte for byte from the manifest alone.
+success, 2 on config problems, 3 on data/weight problems. A command
+computes all of its outputs before it creates the output directory, so a
+failing run leaves nothing behind. The manifest echoes the fully resolved
+config and hashes every input and output, so a run can be reproduced byte
+for byte from the manifest alone. Every JSON file written is strict JSON.
 """
 
 from __future__ import annotations
@@ -14,6 +16,8 @@ import hashlib
 import json
 import sys
 import time
+from collections.abc import Callable
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -53,7 +57,9 @@ from .phantom import (
     save_dataset,
     save_study,
 )
-from .training import TrainConfig, finetune_tgd, online_n2n, train_scratch
+from .training import (
+    NonFiniteLossError, TrainConfig, finetune_tgd, online_n2n, train_scratch,
+)
 
 SWEEP_THRESHOLDS = (0.3, 0.4, 0.5, 0.6)
 
@@ -74,8 +80,8 @@ def sha256_file(path) -> str:
     return h.hexdigest()
 
 
-def write_json(path, doc) -> None:
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+def json_text(doc) -> str:
+    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def load_config(path) -> dict:
@@ -117,18 +123,8 @@ def opt(cfg: dict, field: str, default):
 
 def _config_hash(doc: dict) -> str:
     return hashlib.sha256(
-        json.dumps(doc, sort_keys=True).encode()
+        json.dumps(doc, sort_keys=True, allow_nan=False).encode()
     ).hexdigest()
-
-
-def resolve_out_dir(args, subcommand: str, resolved: dict) -> Path:
-    if args.out:
-        out = Path(args.out)
-    else:
-        stamp = time.strftime("%Y%m%dT%H%M%S", time.gmtime())
-        out = Path("runs") / f"{subcommand}-{stamp}-{_config_hash(resolved)[:8]}"
-    out.mkdir(parents=True, exist_ok=True)
-    return out
 
 
 def write_manifest(
@@ -146,7 +142,36 @@ def write_manifest(
     }
     if wall_time_s is not None:
         doc["wall_time_s"] = wall_time_s
-    write_json(out / "manifest.json", doc)
+    (out / "manifest.json").write_text(json_text(doc))
+
+
+def write_run(
+    args, subcommand: str, resolved: dict, inputs: dict,
+    outputs: dict[str, tuple[str, str | Callable[[Path], None]]],
+    message: Callable[[Path], str], wall_time_s: float | None = None,
+) -> int:
+    """The one place a command writes: called once its work is done, it
+    creates the out dir, writes every output and the manifest, and prints
+    ``message(out)``. ``outputs`` maps each manifest output key to its file
+    under the out dir and either the file's text or a writer called with
+    the file's path."""
+    digest = _config_hash(resolved)  # also rejects non-finite config values
+    if args.out:
+        out = Path(args.out)
+    else:
+        stamp = time.strftime("%Y%m%dT%H%M%S", time.gmtime())
+        out = Path("runs") / f"{subcommand}-{stamp}-{digest[:8]}"
+    out.mkdir(parents=True, exist_ok=True)
+    written = {}
+    for key, (name, content) in outputs.items():
+        written[key] = out / name
+        if isinstance(content, str):
+            written[key].write_text(content)
+        else:
+            content(written[key])
+    write_manifest(out, subcommand, resolved, inputs, written, wall_time_s)
+    print(message(out))
+    return 0
 
 
 def _network_config(cfg: dict) -> NetworkConfig:
@@ -189,21 +214,32 @@ def _train_config(cfg: dict, args, mode: str) -> TrainConfig:
         raise ConfigError(str(e)) from e
 
 
-def _default_level(study) -> str:
-    """The study's highest count level. The n2n halves and the "full" scan
-    they were split from are not count levels; a study without level
-    metadata falls back to its largest realization key."""
-    levels = study.metadata.get("levels")
-    if not levels:
-        return max(study.realizations)
-    return max(levels, key=lambda k: levels[k]["fraction"])
-
-
 def _load_net(path, expect: NetworkConfig | None = None):
     p = Path(path)
     if not p.exists():
         raise DataError(f"weights file not found: {p}")
     return load_weights(p, expect=expect)
+
+
+def _study_at_level(args):
+    """The command line's study and count level: ``--level``, else the
+    study's highest count level. The n2n halves and the "full" scan they
+    were split from are not count levels; a study without level metadata
+    falls back to its largest realization key."""
+    study_dir = Path(args.study)
+    if not (study_dir / "study.json").exists():
+        raise DataError(f"study not found at {study_dir}")
+    study = load_study(study_dir)
+    level = args.level
+    if not level:
+        levels = study.metadata.get("levels")
+        if levels:
+            level = max(levels, key=lambda k: levels[k]["fraction"])
+        else:
+            level = max(study.realizations)
+    if level not in study.realizations:
+        raise DataError(f"study has no count level {level!r}")
+    return study_dir, study, level
 
 
 # ---------------------------------------------------------------- gen-data
@@ -231,7 +267,6 @@ def cmd_gen_data(args) -> int:
         "count_levels": list(levels),
         "test_studies": opt(cfg, "test_studies", []),
     }
-    out = resolve_out_dir(args, "gen-data", resolved)
 
     rng = np.random.default_rng(seed)
     specs = [
@@ -244,9 +279,9 @@ def cmd_gen_data(args) -> int:
         for _ in range(n_train + n_val)
     ]
     dataset = build_dataset(specs, protocol, levels, n_val=n_val)
-    save_dataset(dataset, out / "dataset")
-
-    outputs = {"dataset": out / "dataset" / "dataset.json"}
+    outputs = {
+        "dataset": ("dataset/dataset.json", lambda p: save_dataset(dataset, p.parent))
+    }
     for tcfg in resolved["test_studies"]:
         name = need(tcfg, "name", str, where="test_studies entry")
         spec = random_phantom_spec(
@@ -273,8 +308,6 @@ def cmd_gen_data(args) -> int:
             n_realizations=opt(tcfg, "n_realizations", 1),
             n2n_split=opt(tcfg, "n2n_split", False),
         )
-        sdir = out / "studies" / name
-        save_study(study, sdir)
         rois = {
             "lesion": Roi("lesion", lesion_voxels(spec)),
             "background": Roi("background", background_voxels(spec)),
@@ -285,98 +318,69 @@ def cmd_gen_data(args) -> int:
                 (extra,), spec.seed,
             )
             rois["ood_lesion"] = Roi("lesion", lesion_voxels(ood_only))
-        save_rois(rois, sdir / "rois.json")
-        outputs[f"study:{name}"] = sdir / "study.json"
 
-    write_manifest(out, "gen-data", resolved, inputs={}, outputs=outputs)
-    print(f"dataset written to {out}")
-    return 0
+        def write_study(path, study=study, rois=rois):
+            save_study(study, path.parent)
+            save_rois(rois, path.parent / "rois.json")
+
+        outputs[f"study:{name}"] = (f"studies/{name}/study.json", write_study)
+    return write_run(
+        args, "gen-data", resolved, {}, outputs, lambda out: f"dataset written to {out}"
+    )
 
 
-# ------------------------------------------------------------------- train
+# ------------------------------------------------ train, tgd-finetune, n2n
 
 
-def _run_training(args, mode: str) -> int:
+def cmd_training(args, mode: str) -> int:
+    """One training run of any protocol: from scratch or TGD fine-tuning
+    on a dataset, or online N2N on a study's two-realization split."""
     cfg = load_config(args.config)
-    dataset_dir = Path(need(cfg, "dataset", str))
-    if not (dataset_dir / "dataset.json").exists():
-        raise DataError(f"dataset not found at {dataset_dir}")
+    source = "study" if mode == "n2n_online" else "dataset"
+    source_dir = Path(need(cfg, source, str))
     tc = _train_config(cfg, args, mode)
-    resolved = {"dataset": str(dataset_dir), **tc.to_dict()}
+    resolved = {source: str(source_dir), **tc.to_dict()}
     if mode != "scratch":
-        resolved["weights"] = str(need(cfg, "weights", str))
+        resolved["weights"] = str(Path(need(cfg, "weights", str)))
         resolved["generation"] = opt(cfg, "generation", 1)
-    out = resolve_out_dir(args, mode.replace("_", "-"), resolved)
-    dataset = load_dataset(dataset_dir)
-    inputs = {"dataset": dataset_dir / "dataset.json"}
+    inputs = {source: source_dir / f"{source}.json"}
+    if not inputs[source].exists():
+        raise DataError(f"{source} not found at {source_dir}")
 
+    if mode == "n2n_online":
+        study = load_study(source_dir)
+        if "n2n" not in study.realizations:
+            raise DataError("study has no 'n2n' split (generate with n2n_split: true)")
+    else:
+        dataset = load_dataset(source_dir)
+    masks = None
     if mode == "scratch":
         net, record = train_scratch(tc, dataset)
-        masks = None
     else:
-        weights_path = Path(resolved["weights"])
-        base = _load_net(weights_path, expect=tc.network)
-        inputs["weights"] = weights_path
-        net, record, masks = finetune_tgd(
-            base, tc, dataset, generation=resolved["generation"]
-        )
+        inputs["weights"] = Path(resolved["weights"])
+        base = _load_net(inputs["weights"], expect=tc.network)
+        generation = resolved["generation"]
+        if mode == "tgd_finetune":
+            net, record, masks = finetune_tgd(base, tc, dataset, generation=generation)
+        else:
+            halves = study.realizations["n2n"]
+            net, record = online_n2n(
+                base, tc, halves[0], halves[1], generation=generation
+            )
 
-    net.version_tag = f"{mode}-seed{tc.seed}"
-    save_weights(net, out / "weights.tgdw")
-    (out / "record.jsonl").write_text(record.to_jsonl())
-    outputs = {"weights": out / "weights.tgdw", "record": out / "record.jsonl"}
-    if masks is not None:
-        (out / "masks.json").write_text(masks.to_json())
-        outputs["masks"] = out / "masks.json"
-    write_manifest(
-        out, mode.replace("_", "-"), resolved, inputs, outputs,
-        wall_time_s=record.wall_time_s,
-    )
-    print(f"final weights {network_hash(net)[:12]} -> {out}")
-    return 0
-
-
-def cmd_train(args) -> int:
-    return _run_training(args, "scratch")
-
-
-def cmd_tgd_finetune(args) -> int:
-    return _run_training(args, "tgd_finetune")
-
-
-def cmd_n2n(args) -> int:
-    cfg = load_config(args.config)
-    study_dir = Path(need(cfg, "study", str))
-    weights_path = Path(need(cfg, "weights", str))
-    tc = _train_config(cfg, args, "n2n_online")
-    resolved = {
-        "study": str(study_dir),
-        "weights": str(weights_path),
-        "generation": opt(cfg, "generation", 1),
-        **tc.to_dict(),
+    name = "n2n" if mode == "n2n_online" else mode
+    net.version_tag = f"{name}-seed{tc.seed}"
+    outputs = {
+        "weights": ("weights.tgdw", lambda p: save_weights(net, p)),
+        "record": ("record.jsonl", record.to_jsonl()),
     }
-    out = resolve_out_dir(args, "n2n", resolved)
-    if not (study_dir / "study.json").exists():
-        raise DataError(f"study not found at {study_dir}")
-    study = load_study(study_dir)
-    if "n2n" not in study.realizations:
-        raise DataError("study has no 'n2n' split (generate with n2n_split: true)")
-    base = _load_net(weights_path, expect=tc.network)
-    halves = study.realizations["n2n"]
-    net, record = online_n2n(
-        base, tc, halves[0], halves[1], generation=resolved["generation"]
+    if masks is not None:
+        outputs["masks"] = ("masks.json", masks.to_json())
+    digest = network_hash(net)[:12]
+    return write_run(
+        args, name.replace("_", "-"), resolved, inputs, outputs,
+        lambda out: f"final weights {digest} -> {out}", record.wall_time_s,
     )
-    net.version_tag = f"n2n-seed{tc.seed}"
-    save_weights(net, out / "weights.tgdw")
-    (out / "record.jsonl").write_text(record.to_jsonl())
-    write_manifest(
-        out, "n2n", resolved,
-        {"weights": weights_path, "study": study_dir / "study.json"},
-        {"weights": out / "weights.tgdw", "record": out / "record.jsonl"},
-        wall_time_s=record.wall_time_s,
-    )
-    print(f"final weights {network_hash(net)[:12]} -> {out}")
-    return 0
 
 
 # -------------------------------------------------------------- kse-report
@@ -387,15 +391,6 @@ def cmd_kse_report(args) -> int:
     report = kse_scores(
         net, KseConfig(alpha=args.alpha, k_neighbors=args.k_neighbors)
     )
-    resolved = {
-        "weights": str(args.weights),
-        "alpha": args.alpha,
-        "k_neighbors": args.k_neighbors,
-        "thresholds": list(SWEEP_THRESHOLDS),
-    }
-    out = resolve_out_dir(args, "kse-report", resolved)
-    (out / "kse_report.json").write_text(report.to_json() + "\n")
-
     sweep = []
     for t in SWEEP_THRESHOLDS:
         res = drop_kernels(net, report, t)
@@ -407,25 +402,26 @@ def cmd_kse_report(args) -> int:
                 "retrained_fraction": masks.retrained_fraction(),
             }
         )
-    write_json(out / "sweep.json", {"sweep": sweep})
-    lines = ["threshold  dropped%  retrained%"]
-    for row in sweep:
-        lines.append(
-            f"{row['threshold']:>9.2f}  {row['dropped_fraction'] * 100:>7.1f}"
-            f"  {row['retrained_fraction'] * 100:>9.1f}"
-        )
-    (out / "sweep.txt").write_text("\n".join(lines) + "\n")
-    write_manifest(
-        out, "kse-report", resolved,
-        {"weights": Path(args.weights)},
+    table = "\n".join(["threshold  dropped%  retrained%", *(
+        f"{row['threshold']:>9.2f}  {row['dropped_fraction'] * 100:>7.1f}"
+        f"  {row['retrained_fraction'] * 100:>9.1f}"
+        for row in sweep
+    )])
+    resolved = {
+        "weights": str(args.weights),
+        "alpha": args.alpha,
+        "k_neighbors": args.k_neighbors,
+        "thresholds": list(SWEEP_THRESHOLDS),
+    }
+    return write_run(
+        args, "kse-report", resolved, {"weights": Path(args.weights)},
         {
-            "kse_report": out / "kse_report.json",
-            "sweep": out / "sweep.json",
-            "sweep_table": out / "sweep.txt",
+            "kse_report": ("kse_report.json", report.to_json() + "\n"),
+            "sweep": ("sweep.json", json_text({"sweep": sweep})),
+            "sweep_table": ("sweep.txt", table + "\n"),
         },
+        lambda out: table,
     )
-    print("\n".join(lines))
-    return 0
 
 
 # -------------------------------------------------------------- prune-eval
@@ -433,13 +429,7 @@ def cmd_kse_report(args) -> int:
 
 def cmd_prune_eval(args) -> int:
     net = _load_net(args.weights)
-    study_dir = Path(args.study)
-    if not (study_dir / "study.json").exists():
-        raise DataError(f"study not found at {study_dir}")
-    study = load_study(study_dir)
-    level = args.level or _default_level(study)
-    if level not in study.realizations:
-        raise DataError(f"study has no count level {level!r}")
+    study_dir, study, level = _study_at_level(args)
     noisy = study.realizations[level][0]
 
     report = kse_scores(net)
@@ -456,28 +446,26 @@ def cmd_prune_eval(args) -> int:
                 "mse_vs_truth": mse(output, study.truth),
             }
         )
+    table = "\n".join(["threshold  dropped%  mse_vs_reference  mse_vs_truth", *(
+        f"{r['threshold']:>9.2f}  {r['dropped_fraction'] * 100:>7.1f}"
+        f"  {r['mse_vs_reference']:>16.6g}  {r['mse_vs_truth']:>12.6g}"
+        for r in rows
+    )])
     resolved = {
         "weights": str(args.weights),
         "study": str(study_dir),
         "level": level,
         "thresholds": list(args.thresholds),
     }
-    out = resolve_out_dir(args, "prune-eval", resolved)
-    write_json(out / "prune_eval.json", {"rows": rows})
-    lines = ["threshold  dropped%  mse_vs_reference  mse_vs_truth"]
-    for r in rows:
-        lines.append(
-            f"{r['threshold']:>9.2f}  {r['dropped_fraction'] * 100:>7.1f}"
-            f"  {r['mse_vs_reference']:>16.6g}  {r['mse_vs_truth']:>12.6g}"
-        )
-    (out / "prune_eval.txt").write_text("\n".join(lines) + "\n")
-    write_manifest(
-        out, "prune-eval", resolved,
+    return write_run(
+        args, "prune-eval", resolved,
         {"weights": Path(args.weights), "study": study_dir / "study.json"},
-        {"report": out / "prune_eval.json", "table": out / "prune_eval.txt"},
+        {
+            "report": ("prune_eval.json", json_text({"rows": rows})),
+            "table": ("prune_eval.txt", table + "\n"),
+        },
+        lambda out: table,
     )
-    print("\n".join(lines))
-    return 0
 
 
 # ---------------------------------------------------------------- evaluate
@@ -485,27 +473,23 @@ def cmd_prune_eval(args) -> int:
 
 def cmd_evaluate(args) -> int:
     net = _load_net(args.weights)
-    study_dir = Path(args.study)
-    if not (study_dir / "study.json").exists():
-        raise DataError(f"study not found at {study_dir}")
-    study = load_study(study_dir)
+    study_dir, study, level = _study_at_level(args)
     rois_path = Path(args.rois) if args.rois else study_dir / "rois.json"
     if not rois_path.exists():
         raise ConfigError(f"missing ROI file: {rois_path}")
     rois = load_rois(rois_path)
-    level = args.level or _default_level(study)
-    if level not in study.realizations:
-        raise DataError(f"study has no count level {level!r}")
     stack = study.realizations[level]
 
     denoised = [denoise_volume(net, stack[r]) for r in range(stack.shape[0])]
+    psnr_db = float(
+        np.mean([psnr(d, study.truth, peak=float(study.truth.max())) for d in denoised])
+    )
     report: dict = {
         "level": level,
         "n_realizations": len(denoised),
         "mse_vs_truth": float(np.mean([mse(d, study.truth) for d in denoised])),
-        "psnr_db": float(
-            np.mean([psnr(d, study.truth, peak=float(study.truth.max())) for d in denoised])
-        ),
+        # infinite when every denoised volume equals the truth (zero MSE)
+        "psnr_db": psnr_db if np.isfinite(psnr_db) else None,
     }
     if "lesion" in rois:
         report["lesion_bias_pct"] = ensemble_bias(denoised, rois["lesion"], study.truth)
@@ -514,32 +498,31 @@ def cmd_evaluate(args) -> int:
             report["background_cov_pct"] = ensemble_cov(denoised, rois["background"])
         else:
             report["background_cov_pct"] = None  # needs >= 2 realizations
-    resolved = {
-        "weights": str(args.weights),
-        "study": str(study_dir),
-        "rois": str(rois_path),
-        "level": level,
-    }
-    out = resolve_out_dir(args, "evaluate", resolved)
-    write_json(out / "metrics.json", report)
-    lines = [f"{'Metric':<22}{'Value':>12}"]
     display = [
         ("Lesion Bias (%)", report.get("lesion_bias_pct")),
         ("Background CoV (%)", report.get("background_cov_pct")),
         ("MSE vs truth", report["mse_vs_truth"]),
         ("PSNR (dB)", report["psnr_db"]),
     ]
-    for name, value in display:
-        shown = "n/a" if value is None else f"{value:.4g}"
-        lines.append(f"{name:<22}{shown:>12}")
-    (out / "metrics.txt").write_text("\n".join(lines) + "\n")
-    write_manifest(
-        out, "evaluate", resolved,
+    table = "\n".join([f"{'Metric':<22}{'Value':>12}", *(
+        f"{name:<22}{'n/a' if value is None else f'{value:.4g}':>12}"
+        for name, value in display
+    )])
+    resolved = {
+        "weights": str(args.weights),
+        "study": str(study_dir),
+        "rois": str(rois_path),
+        "level": level,
+    }
+    return write_run(
+        args, "evaluate", resolved,
         {"weights": Path(args.weights), "study": study_dir / "study.json", "rois": rois_path},
-        {"metrics": out / "metrics.json", "table": out / "metrics.txt"},
+        {
+            "metrics": ("metrics.json", json_text(report)),
+            "table": ("metrics.txt", table + "\n"),
+        },
+        lambda out: table,
     )
-    print("\n".join(lines))
-    return 0
 
 
 # ------------------------------------------------------------------ parser
@@ -582,15 +565,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("train", help="train a denoiser from scratch")
     add_train_flags(sp)
-    sp.set_defaults(func=cmd_train)
+    sp.set_defaults(func=partial(cmd_training, mode="scratch"))
 
     sp = sub.add_parser("tgd-finetune", help="masked fine-tuning of a pre-trained net")
     add_mask_flags(sp)
-    sp.set_defaults(func=cmd_tgd_finetune)
+    sp.set_defaults(func=partial(cmd_training, mode="tgd_finetune"))
 
     sp = sub.add_parser("n2n", help="online adaptation on one study's noise split")
     add_mask_flags(sp)
-    sp.set_defaults(func=cmd_n2n)
+    sp.set_defaults(func=partial(cmd_training, mode="n2n_online"))
 
     sp = sub.add_parser("kse-report", help="score a net and sweep drop thresholds")
     sp.add_argument("weights")
@@ -626,7 +609,7 @@ def main(argv=None) -> int:
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
-    except (DataError, WeightFileError) as e:
+    except (DataError, WeightFileError, NonFiniteLossError) as e:
         print(f"data error: {e}", file=sys.stderr)
         return 3
     except ValueError as e:

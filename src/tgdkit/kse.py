@@ -129,7 +129,9 @@ class KseReport:
         }
 
     def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
+        return json.dumps(
+            self.to_dict(), indent=indent, sort_keys=True, allow_nan=False
+        )
 
 
 def kse_scores(net: Network, config: KseConfig | None = None) -> KseReport:

@@ -57,7 +57,9 @@ class MaskSet:
         }
 
     def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
+        return json.dumps(
+            self.to_dict(), indent=indent, sort_keys=True, allow_nan=False
+        )
 
     def retrained_fraction(self) -> float:
         total = sum(m.size for m in self.conv_masks)

@@ -46,7 +46,7 @@ class Roi:
 
 def save_rois(rois: dict[str, Roi], path) -> None:
     doc = {name: [[int(i) for i in v] for v in roi.voxels] for name, roi in rois.items()}
-    Path(path).write_text(json.dumps(doc, sort_keys=True))
+    Path(path).write_text(json.dumps(doc, sort_keys=True, allow_nan=False))
 
 
 def load_rois(path) -> dict[str, Roi]:

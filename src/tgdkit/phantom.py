@@ -130,6 +130,26 @@ def _slice_factor(s: int, n_slices: int) -> float:
     return 1.0 - SLICE_MODULATION * u * u
 
 
+def _shapes(spec: PhantomSpec):
+    """Boolean [S, H, W] rasterizers ``ellipse(e, grow=0, shrink=1)`` and
+    ``disk(lesion, grow=0)``. Each slice scales the axes or radius by its
+    slice factor; the result is multiplied by ``shrink``, then ``grow``
+    pixels are added (the background ROI's margins)."""
+    yy, xx = np.mgrid[0 : spec.height, 0 : spec.width].astype(np.float64)
+    f = np.array([_slice_factor(s, spec.slices) for s in range(spec.slices)])
+    f = f[:, None, None]
+
+    def ellipse(e: Ellipse, grow: float = 0.0, shrink: float = 1.0) -> np.ndarray:
+        a, b = (axis * f * shrink + grow for axis in e.axes)
+        return ((yy - e.center[0]) / a) ** 2 + ((xx - e.center[1]) / b) ** 2 <= 1.0
+
+    def disk(l: Lesion, grow: float = 0.0) -> np.ndarray:
+        r = l.radius * f + grow
+        return (yy - l.center[0]) ** 2 + (xx - l.center[1]) ** 2 <= r * r
+
+    return ellipse, disk
+
+
 def generate_phantom(spec: PhantomSpec) -> np.ndarray:
     """Rasterize the spec into an [S, H, W] activity stack (float32).
 
@@ -137,22 +157,12 @@ def generate_phantom(spec: PhantomSpec) -> np.ndarray:
     underlying background, and a smooth seeded texture field modulates the
     whole stack so flat regions still carry learnable structure.
     """
-    yy, xx = np.mgrid[0 : spec.height, 0 : spec.width].astype(np.float64)
+    ellipse, disk = _shapes(spec)
     vol = np.zeros((spec.slices, spec.height, spec.width), dtype=np.float64)
-    for s in range(spec.slices):
-        f = _slice_factor(s, spec.slices)
-        img = np.zeros((spec.height, spec.width), dtype=np.float64)
-        for e in spec.ellipses:
-            cy, cx = e.center
-            a, b = e.axes[0] * f, e.axes[1] * f
-            inside = ((yy - cy) / a) ** 2 + ((xx - cx) / b) ** 2 <= 1.0
-            img[inside] += e.intensity
-        for l in spec.lesions:
-            cy, cx = l.center
-            r = l.radius * f
-            inside = (yy - cy) ** 2 + (xx - cx) ** 2 <= r * r
-            img[inside] *= l.contrast
-        vol[s] = img
+    for e in spec.ellipses:
+        vol[ellipse(e)] += e.intensity
+    for l in spec.lesions:
+        vol[disk(l)] *= l.contrast
     if spec.ellipses:
         rng = np.random.default_rng(spec.seed)
         noise = rng.standard_normal(vol.shape)
@@ -262,6 +272,17 @@ class Study:
     metadata: dict = field(default_factory=dict)
 
 
+def _seeded_scan(truth, protocol: ScanProtocol, fraction: float, spawn_key: tuple):
+    """One realization at fraction*count_budget and its seed, which
+    ``spawn_key`` derives from the protocol seed."""
+    ss = np.random.SeedSequence(entropy=protocol.seed, spawn_key=spawn_key)
+    seed = int(ss.generate_state(1)[0])
+    level = ScanProtocol(
+        protocol.psf_sigma, protocol.count_budget * fraction, protocol.seed
+    )
+    return simulate_scan(truth, level, seed=seed), seed
+
+
 def make_study(
     spec: PhantomSpec,
     protocol: ScanProtocol,
@@ -276,21 +297,13 @@ def make_study(
     realizations: dict[str, np.ndarray] = {}
     meta_levels: dict[str, dict] = {}
     for li, frac in enumerate(count_levels):
-        level_proto = ScanProtocol(
-            protocol.psf_sigma, protocol.count_budget * frac, protocol.seed
-        )
-        seeds = []
-        stack = []
-        for r in range(n_realizations):
-            ss = np.random.SeedSequence(
-                entropy=protocol.seed, spawn_key=(spec.seed, li, r)
-            )
-            s = int(ss.generate_state(1)[0])
-            seeds.append(s)
-            stack.append(simulate_scan(truth, level_proto, seed=s))
+        scans = [
+            _seeded_scan(truth, protocol, frac, (spec.seed, li, r))
+            for r in range(n_realizations)
+        ]
         key = level_key(frac)
-        realizations[key] = np.stack(stack)
-        meta_levels[key] = {"fraction": frac, "seeds": seeds}
+        realizations[key] = np.stack([vol for vol, _ in scans])
+        meta_levels[key] = {"fraction": frac, "seeds": [seed for _, seed in scans]}
     metadata = {
         "spec": spec.to_dict(),
         "protocol": protocol.to_dict(),
@@ -349,19 +362,11 @@ def build_dataset(
     studies: list[StudyPair] = []
     for pid, spec in enumerate(specs):
         truth = generate_phantom(spec)
-        ss = np.random.SeedSequence(entropy=protocol.seed, spawn_key=(spec.seed, 0))
-        target = simulate_scan(truth, protocol, seed=int(ss.generate_state(1)[0]))
-        inputs: dict[str, np.ndarray] = {}
-        for li, frac in enumerate(count_levels):
-            level_proto = ScanProtocol(
-                protocol.psf_sigma, protocol.count_budget * frac, protocol.seed
-            )
-            ss = np.random.SeedSequence(
-                entropy=protocol.seed, spawn_key=(spec.seed, 1 + li)
-            )
-            inputs[level_key(frac)] = simulate_scan(
-                truth, level_proto, seed=int(ss.generate_state(1)[0])
-            )
+        target, _ = _seeded_scan(truth, protocol, 1.0, (spec.seed, 0))
+        inputs = {
+            level_key(frac): _seeded_scan(truth, protocol, frac, (spec.seed, 1 + li))[0]
+            for li, frac in enumerate(count_levels)
+        }
         studies.append(StudyPair(pid, truth, target, inputs))
     split = len(specs) - n_val
     manifest = {
@@ -420,49 +425,34 @@ def random_phantom_spec(
     )
 
 
+def _voxels(mask: np.ndarray, empty: str) -> np.ndarray:
+    """[K, 3] (s, y, x) indices of the set voxels in raster order."""
+    idx = np.argwhere(mask).astype(np.int64, copy=False)
+    if not len(idx):
+        raise ValueError(empty)
+    return idx
+
+
 def lesion_voxels(spec: PhantomSpec) -> np.ndarray:
     """[K, 3] (s, y, x) indices of every voxel inside any lesion disk."""
-    yy, xx = np.mgrid[0 : spec.height, 0 : spec.width].astype(np.float64)
-    out = []
-    for s in range(spec.slices):
-        f = _slice_factor(s, spec.slices)
-        mask = np.zeros((spec.height, spec.width), dtype=bool)
-        for l in spec.lesions:
-            cy, cx = l.center
-            r = l.radius * f
-            mask |= (yy - cy) ** 2 + (xx - cx) ** 2 <= r * r
-        ys, xs = np.nonzero(mask)
-        out.extend((s, y, x) for y, x in zip(ys, xs))
-    if not out:
-        raise ValueError("spec has no lesion voxels")
-    return np.array(out, dtype=np.int64)
+    _, disk = _shapes(spec)
+    mask = np.zeros((spec.slices, spec.height, spec.width), dtype=bool)
+    for l in spec.lesions:
+        mask |= disk(l)
+    return _voxels(mask, "spec has no lesion voxels")
 
 
 def background_voxels(spec: PhantomSpec, margin: float = 3.0) -> np.ndarray:
     """[K, 3] indices inside the first (body) ellipse, away from any lesion."""
     if not spec.ellipses:
         raise ValueError("spec has no background ellipse")
-    yy, xx = np.mgrid[0 : spec.height, 0 : spec.width].astype(np.float64)
-    body = spec.ellipses[0]
-    out = []
-    for s in range(spec.slices):
-        f = _slice_factor(s, spec.slices)
-        cy, cx = body.center
-        a, b = body.axes[0] * f * 0.8, body.axes[1] * f * 0.8
-        mask = ((yy - cy) / a) ** 2 + ((xx - cx) / b) ** 2 <= 1.0
-        for e in spec.ellipses[1:]:
-            ecy, ecx = e.center
-            ea, eb = e.axes[0] * f + margin, e.axes[1] * f + margin
-            mask &= ((yy - ecy) / ea) ** 2 + ((xx - ecx) / eb) ** 2 > 1.0
-        for l in spec.lesions:
-            lcy, lcx = l.center
-            r = l.radius * f + margin
-            mask &= (yy - lcy) ** 2 + (xx - lcx) ** 2 > r * r
-        ys, xs = np.nonzero(mask)
-        out.extend((s, y, x) for y, x in zip(ys, xs))
-    if not out:
-        raise ValueError("background region is empty")
-    return np.array(out, dtype=np.int64)
+    ellipse, disk = _shapes(spec)
+    mask = ellipse(spec.ellipses[0], shrink=0.8)
+    for e in spec.ellipses[1:]:
+        mask &= ~ellipse(e, grow=margin)
+    for l in spec.lesions:
+        mask &= ~disk(l, grow=margin)
+    return _voxels(mask, "background region is empty")
 
 
 def save_dataset(dataset: DenoiseDataset, directory) -> None:
@@ -481,22 +471,19 @@ def save_dataset(dataset: DenoiseDataset, directory) -> None:
             fname = f"input_{key}.f32"
             files[key] = fname
             _write_f32(sub / fname, vol)
-        (sub / "meta.json").write_text(
-            json.dumps(
-                {
-                    "phantom_id": sp.phantom_id,
-                    "shape": list(sp.truth.shape),
-                    "files": files,
-                    "levels": sorted(sp.inputs),
-                },
-                indent=2,
-                sort_keys=True,
-            )
+        _write_json(
+            sub / "meta.json",
+            {
+                "phantom_id": sp.phantom_id,
+                "shape": list(sp.truth.shape),
+                "files": files,
+                "levels": sorted(sp.inputs),
+            },
         )
         entries.append(sub.name)
     doc = dict(dataset.manifest)
     doc["phantom_dirs"] = entries
-    (d / "dataset.json").write_text(json.dumps(doc, indent=2, sort_keys=True))
+    _write_json(d / "dataset.json", doc)
 
 
 def load_dataset(directory) -> DenoiseDataset:
@@ -542,7 +529,7 @@ def save_study(study: Study, directory) -> None:
         "protocol": study.protocol.to_dict(),
         "metadata": study.metadata,
     }
-    (d / "study.json").write_text(json.dumps(meta, indent=2, sort_keys=True))
+    _write_json(d / "study.json", meta)
 
 
 def load_study(directory) -> Study:
@@ -558,6 +545,10 @@ def load_study(directory) -> Study:
         ScanProtocol.from_dict(meta["protocol"]),
         meta.get("metadata", {}),
     )
+
+
+def _write_json(path, doc: dict) -> None:
+    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True, allow_nan=False))
 
 
 def _write_f32(path, arr: np.ndarray) -> None:

@@ -17,6 +17,7 @@ unmasked trajectory exactly.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -39,6 +40,10 @@ from .model import (
 MODES = ("scratch", "tgd_finetune", "n2n_online")
 DEFAULT_EPOCHS = {"scratch": 500, "tgd_finetune": 500, "n2n_online": 150}
 DEFAULT_LR = {"scratch": 1e-3, "tgd_finetune": 1e-4, "n2n_online": 1e-4}
+
+
+class NonFiniteLossError(ArithmeticError):
+    """A training batch gave a NaN or infinite loss."""
 
 
 @dataclass
@@ -115,7 +120,7 @@ class TrainRecord:
         import json
 
         lines = [
-            json.dumps({"epoch": i, "loss": loss})
+            json.dumps({"epoch": i, "loss": loss}, allow_nan=False)
             for i, loss in enumerate(self.epoch_losses)
         ]
         lines.append(
@@ -128,6 +133,7 @@ class TrainRecord:
                     "final_hash": self.final_hash,
                 },
                 sort_keys=True,
+                allow_nan=False,
             )
         )
         return "\n".join(lines) + "\n"
@@ -168,26 +174,31 @@ def _train_loop(
     y: np.ndarray,
     config: TrainConfig,
     masks: MaskSet | None,
-    epochs: int,
 ) -> list[float]:
-    """Shared SGD loop; mutates net in place and returns per-epoch losses."""
+    """Shared SGD loop; mutates net in place and returns per-epoch losses.
+    A batch whose loss is not finite raises NonFiniteLossError before it
+    changes the network."""
     m = x.shape[0]
     conv_masks = None if masks is None else masks.conv_masks
     opt = MaskedAdam(net, conv_masks, config.effective_lr, config.weight_decay)
     rng = np.random.default_rng(config.seed)
     losses = []
-    for _ in range(epochs):
+    for _ in range(config.effective_epochs):
         perm = rng.permutation(m)
         epoch_loss = 0.0
         for start in range(0, m, config.batch_size):
             idx = perm[start : start + config.batch_size]
             xb, yb = x[idx], y[idx]
             pred, caches = forward_train(net, xb)
+            loss, grad_y = mse_loss(pred, yb)
+            if not math.isfinite(loss):
+                raise NonFiniteLossError(
+                    f"loss is {loss} in epoch {len(losses)}: non-finite data or weights"
+                )
             for i, blk in enumerate(net.blocks):
                 if blk.bn is not None:
                     mask = None if conv_masks is None else conv_masks[i]
                     commit_running_stats(blk.bn, caches[i].bn_stats, mask)
-            loss, grad_y = mse_loss(pred, yb)
             opt.step(net, backward(net, caches, grad_y))
             epoch_loss += loss * len(idx)
         losses.append(epoch_loss / m)
@@ -211,6 +222,38 @@ def _resolve_pairs(dataset) -> tuple[list, list]:
     return list(dataset), []
 
 
+def _fit(
+    net: Network, config: TrainConfig, dataset, generation: int | None = None
+) -> tuple[Network, TrainRecord, MaskSet | None]:
+    """The body of every protocol: train a copy of ``net`` and record the
+    run. With a mask ``generation``, only the channels that pass the KSE
+    masks at ``config.kse_threshold`` train, and the freeze contract is
+    checked afterwards; without one, every parameter trains."""
+    train_pairs, val_pairs = _resolve_pairs(dataset)
+    if not train_pairs:
+        raise ValueError("dataset is empty")
+    if config.effective_epochs < 1:
+        raise ValueError(f"{config.mode} training needs epochs >= 1")
+    masks = None
+    if generation is not None:
+        masks = build_masks(
+            net, kse_scores(net, config.kse), config.kse_threshold,
+            config.last_layer_frozen, generation,
+        )
+    tuned = net.copy()
+    x, y = pairs_to_arrays(train_pairs, tuned.config.input_slices)
+    t0 = time.perf_counter()
+    losses = _train_loop(tuned, x, y, config, masks)
+    wall = time.perf_counter() - t0
+    if masks is not None:
+        _assert_frozen_exact(net, tuned, masks)
+    val = eval_pairs_mse(tuned, val_pairs) if val_pairs else None
+    record = TrainRecord(
+        config.mode, config.to_dict(), losses, val, wall, network_hash(tuned)
+    )
+    return tuned, record, masks
+
+
 def train_scratch(
     config: TrainConfig, dataset, initial: Network | None = None
 ) -> tuple[Network, TrainRecord]:
@@ -219,23 +262,9 @@ def train_scratch(
     ``initial`` warm-starts from an existing network instead of a fresh
     seed-initialized one; the input network is never mutated.
     """
-    train_pairs, val_pairs = _resolve_pairs(dataset)
-    if not train_pairs:
-        raise ValueError("dataset is empty")
-    epochs = config.effective_epochs
-    if epochs < 1:
-        raise ValueError("scratch training needs epochs >= 1")
-    net = initial.copy() if initial is not None else build_network(
-        config.network, config.seed
-    )
-    x, y = pairs_to_arrays(train_pairs, net.config.input_slices)
-    t0 = time.perf_counter()
-    losses = _train_loop(net, x, y, config, masks=None, epochs=epochs)
-    wall = time.perf_counter() - t0
-    val = eval_pairs_mse(net, val_pairs) if val_pairs else None
-    record = TrainRecord(
-        config.mode, config.to_dict(), losses, val, wall, network_hash(net)
-    )
+    if initial is None:
+        initial = build_network(config.network, config.seed)
+    net, record, _ = _fit(initial, config, dataset)
     return net, record
 
 
@@ -255,27 +284,7 @@ def finetune_tgd(
     whose downstream feature maps score below the KSE threshold."""
     if config.kse_threshold is None:
         raise ValueError("tgd fine-tuning requires kse_threshold")
-    train_pairs, val_pairs = _resolve_pairs(dataset)
-    if not train_pairs:
-        raise ValueError("dataset is empty")
-    epochs = config.effective_epochs
-    if epochs < 1:
-        raise ValueError("fine-tuning needs epochs >= 1")
-    report = kse_scores(net, config.kse)
-    masks = build_masks(
-        net, report, config.kse_threshold, config.last_layer_frozen, generation
-    )
-    tuned = net.copy()
-    x, y = pairs_to_arrays(train_pairs, tuned.config.input_slices)
-    t0 = time.perf_counter()
-    losses = _train_loop(tuned, x, y, config, masks=masks, epochs=epochs)
-    wall = time.perf_counter() - t0
-    _assert_frozen_exact(net, tuned, masks)
-    val = eval_pairs_mse(tuned, val_pairs) if val_pairs else None
-    record = TrainRecord(
-        config.mode, config.to_dict(), losses, val, wall, network_hash(tuned)
-    )
-    return tuned, record, masks
+    return _fit(net, config, dataset, generation)
 
 
 def online_n2n(
@@ -301,23 +310,10 @@ def online_n2n(
         )
     if realization_b.tobytes() < realization_a.tobytes():
         realization_a, realization_b = realization_b, realization_a
-    epochs = config.effective_epochs
-    if epochs == 0:
+    if config.effective_epochs == 0:
         return net.copy(), TrainRecord(
             config.mode, config.to_dict(), [], None, 0.0, network_hash(net)
         )
-    report = kse_scores(net, config.kse)
-    masks = build_masks(
-        net, report, config.kse_threshold, config.last_layer_frozen, generation
-    )
-    tuned = net.copy()
     pairs = [(realization_a, realization_b), (realization_b, realization_a)]
-    x, y = pairs_to_arrays(pairs, tuned.config.input_slices)
-    t0 = time.perf_counter()
-    losses = _train_loop(tuned, x, y, config, masks=masks, epochs=epochs)
-    wall = time.perf_counter() - t0
-    _assert_frozen_exact(net, tuned, masks)
-    record = TrainRecord(
-        config.mode, config.to_dict(), losses, None, wall, network_hash(tuned)
-    )
+    tuned, record, _ = _fit(net, config, pairs, generation)
     return tuned, record

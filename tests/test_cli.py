@@ -1,16 +1,26 @@
 """End-to-end CLI tests: exit codes, manifests, reproducibility."""
 
 import json
+import shutil
 
 import numpy as np
 import pytest
 
-from tgdkit.cli import main
+from tgdkit.cli import main, sha256_file
 from tgdkit.model import NetworkConfig, build_network, load_weights, network_hash, save_weights
 from tgdkit.phantom import ScanProtocol, Study, save_study
 from tgdkit.metrics import Roi, save_rois
 
 NET = {"depth": 3, "channels": 4, "input_slices": 3}
+
+
+def strict_json(text):
+    """json.loads that rejects NaN and +-Infinity, which are not JSON."""
+
+    def reject(constant):
+        raise ValueError(f"not JSON: {constant}")
+
+    return json.loads(text, parse_constant=reject)
 
 
 def gen_config(tmp, **overrides):
@@ -70,6 +80,21 @@ class TestGenData:
         assert main(["gen-data", str(p), "--out", str(tmp_path / "o")]) == 2
         assert "protocol.psf_sigma" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_failing_run_writes_nothing(self, tmp_path, capsys, seed):
+        # on a 12x12 image the background ROI's margins cover the whole
+        # body, which is found only after the dataset and study are built
+        cfg = gen_config(
+            tmp_path, seed=seed,
+            image={"height": 12, "width": 12, "slices": 3},
+            phantoms={"n_train": 1, "n_lesions": 2},
+            test_studies=[{"name": "probe", "n_lesions": 2}],
+        )
+        assert main(["gen-data", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert "background region is empty" in capsys.readouterr().err
+        assert not list(tmp_path.rglob("dataset.json"))
+        assert not list(tmp_path.rglob("study.json"))
+
 
 class TestTrain:
     def test_weights_and_record_written(self, workspace):
@@ -90,6 +115,20 @@ class TestTrain:
         p = tmp_path / "t.json"
         p.write_text(json.dumps(cfg))
         assert main(["train", str(p), "--out", str(tmp_path / "o")]) == 3
+
+    def test_nan_voxel_is_data_error_and_writes_nothing(self, workspace, tmp_path, capsys):
+        shutil.copytree(workspace / "data" / "dataset", tmp_path / "dataset")
+        f = tmp_path / "dataset" / "phantom_000" / "input_0.1.f32"
+        vol = np.frombuffer(f.read_bytes(), dtype="<f4").copy()
+        vol[7] = np.nan
+        f.write_bytes(vol.tobytes())
+        cfg = json.loads((workspace / "train.json").read_text())
+        cfg["dataset"] = str(tmp_path / "dataset")
+        p = tmp_path / "t.json"
+        p.write_text(json.dumps(cfg))
+        assert main(["train", str(p), "--out", str(tmp_path / "o")]) == 3
+        assert "data error: loss is nan" in capsys.readouterr().err
+        assert not list(tmp_path.rglob("record.jsonl"))
 
 
 class TestTgdFinetune:
@@ -169,6 +208,18 @@ class TestN2n:
         p = tmp_path / "n2n.json"
         p.write_text(json.dumps(cfg))
         assert main(["n2n", str(p), "--out", str(tmp_path / "o")]) == 3
+
+    def test_missing_study_creates_no_out_dir(self, workspace, tmp_path):
+        cfg = {
+            "study": str(tmp_path / "nostudy"),
+            "weights": str(workspace / "base" / "weights.tgdw"),
+            "phi": 0.4,
+            "network": NET,
+        }
+        p = tmp_path / "n2n.json"
+        p.write_text(json.dumps(cfg))
+        assert main(["n2n", str(p), "--out", str(tmp_path / "o")]) == 3
+        assert not (tmp_path / "o").exists()
 
 
 class TestKseReport:
@@ -258,10 +309,13 @@ class TestEvaluate:
             "evaluate", str(tmp_path / "id.tgdw"), str(tmp_path / "study"),
             "--out", str(tmp_path / "o"),
         ]) == 0
-        rep = json.loads((tmp_path / "o" / "metrics.json").read_text())
+        rep = strict_json((tmp_path / "o" / "metrics.json").read_text())
         assert rep["lesion_bias_pct"] == pytest.approx(0.0, abs=1e-5)
         assert rep["background_cov_pct"] == pytest.approx(0.0, abs=1e-6)
         assert rep["mse_vs_truth"] == pytest.approx(0.0, abs=1e-12)
+        # zero MSE: the PSNR is infinite, which JSON cannot hold
+        assert rep["psnr_db"] is None
+        assert "n/a" in (tmp_path / "o" / "metrics.txt").read_text().splitlines()[-1]
 
     def test_single_realization_reports_bias_not_cov(self, tmp_path):
         net = build_network(NetworkConfig(depth=3, channels=4), seed=1)
@@ -320,3 +374,38 @@ class TestManifestReplay:
             (tmp_path / "o" / "weights.tgdw").read_bytes()
             == (workspace / "base" / "weights.tgdw").read_bytes()
         )
+
+
+class TestRunWriters:
+    def test_every_command_writes_strict_json_and_true_hashes(self, workspace, tmp_path):
+        """Every subcommand's output dir: strict JSON throughout, and each
+        manifest hash matches its file (gen-data and train ran in the
+        workspace fixture)."""
+        weights = str(workspace / "base" / "weights.tgdw")
+        study = str(workspace / "data" / "studies" / "probe")
+        common = {"weights": weights, "seed": 1, "epochs": 1, "batch_size": 4,
+                  "phi": 0.5, "network": NET}
+        (tmp_path / "ft.json").write_text(
+            json.dumps({"dataset": str(workspace / "data" / "dataset"), **common})
+        )
+        (tmp_path / "n2n.json").write_text(json.dumps({"study": study, **common}))
+        runs = {
+            "tgd-finetune": [str(tmp_path / "ft.json")],
+            "n2n": [str(tmp_path / "n2n.json")],
+            "kse-report": [weights],
+            "prune-eval": [weights, study],
+            "evaluate": [weights, study],
+        }
+        for sub, argv in runs.items():
+            assert main([sub, *argv, "--out", str(tmp_path / sub)]) == 0, sub
+        outs = [workspace / "data", workspace / "base"] + [tmp_path / s for s in runs]
+        for out in outs:
+            for f in out.rglob("*.json"):
+                strict_json(f.read_text())
+            for f in out.rglob("*.jsonl"):
+                for line in f.read_text().splitlines():
+                    strict_json(line)
+            manifest = strict_json((out / "manifest.json").read_text())
+            for kind in ("inputs", "outputs"):
+                for key, entry in manifest[kind].items():
+                    assert sha256_file(entry["path"]) == entry["sha256"], (out.name, key)

@@ -12,6 +12,7 @@ from tgdkit.phantom import (
     simulate_scan,
 )
 from tgdkit.training import (
+    NonFiniteLossError,
     TrainConfig,
     eval_pairs_mse,
     finetune_tgd,
@@ -85,6 +86,14 @@ class TestTrainScratch:
         cfg = TrainConfig(mode="scratch", epochs=1, network=TOY_NET)
         with pytest.raises(ValueError, match="empty"):
             train_scratch(cfg, [])
+
+    def test_nan_input_raises_named_error(self):
+        x = np.ones((3, 8, 8), np.float32)
+        bad = x.copy()
+        bad[1, 2, 3] = np.nan
+        cfg = TrainConfig(mode="scratch", epochs=2, batch_size=2, network=TOY_NET)
+        with pytest.raises(NonFiniteLossError, match="epoch 0"):
+            train_scratch(cfg, [(x, x), (bad, x)])
 
     def test_record_fields(self):
         ds = toy_dataset(seed=6)
