@@ -44,6 +44,7 @@ from .model import (
 )
 from .phantom import (
     DATASET_COUNT_LEVELS,
+    DataFileError,
     Lesion,
     PhantomSpec,
     ScanProtocol,
@@ -174,41 +175,40 @@ def write_run(
     return 0
 
 
+def given(cfg: dict, fields, section: str | None = None) -> dict:
+    """The ``fields`` a config (or one of its sections) sets, by name; the
+    config dataclasses hold the defaults of the rest."""
+    node = opt(cfg, section, {}) if section else cfg
+    return {f: node[f] for f in fields if f in node} if isinstance(node, dict) else {}
+
+
 def _network_config(cfg: dict) -> NetworkConfig:
     try:
         return NetworkConfig(
-            depth=opt(cfg, "network.depth", 8),
-            channels=opt(cfg, "network.channels", 64),
-            input_slices=opt(cfg, "network.input_slices", 3),
+            **given(cfg, ("depth", "channels", "input_slices"), "network")
         )
     except ValueError as e:
         raise ConfigError(str(e)) from e
 
 
 def _train_config(cfg: dict, args, mode: str) -> TrainConfig:
+    kw = given(cfg, (
+        "epochs", "batch_size", "learning_rate", "weight_decay", "seed",
+        "kse_threshold", "last_layer_frozen",
+    ))
     # "phi"/"freeze_last_layer" are the config-file spellings; manifests echo
-    # the resolved names, and replaying a manifest must work too
-    phi = opt(cfg, "phi", opt(cfg, "kse_threshold", None))
-    if getattr(args, "phi", None) is not None:
-        phi = args.phi
-    freeze = opt(cfg, "freeze_last_layer", opt(cfg, "last_layer_frozen", True))
-    if getattr(args, "freeze_last_layer", None) is not None:
-        freeze = args.freeze_last_layer
+    # the field names, and replaying a manifest must work too
+    spellings = (("phi", "kse_threshold"), ("freeze_last_layer", "last_layer_frozen"))
+    kw.update({field: cfg[key] for key, field in spellings if key in cfg})
+    for flag, field in (("epochs", "epochs"), ("seed", "seed"), *spellings):
+        if getattr(args, flag, None) is not None:
+            kw[field] = getattr(args, flag)
     try:
         return TrainConfig(
             mode=mode,
-            epochs=args.epochs if args.epochs is not None else opt(cfg, "epochs", None),
-            batch_size=opt(cfg, "batch_size", 8),
-            learning_rate=opt(cfg, "learning_rate", None),
-            weight_decay=opt(cfg, "weight_decay", 1e-5),
-            seed=args.seed if args.seed is not None else opt(cfg, "seed", 0),
-            kse_threshold=phi,
-            last_layer_frozen=freeze,
-            kse=KseConfig(
-                alpha=opt(cfg, "kse.alpha", 1.0),
-                k_neighbors=opt(cfg, "kse.k_neighbors", 5),
-            ),
+            kse=KseConfig(**given(cfg, ("alpha", "k_neighbors"), "kse")),
             network=_network_config(cfg),
+            **kw,
         )
     except ValueError as e:
         raise ConfigError(str(e)) from e
@@ -388,9 +388,8 @@ def cmd_training(args, mode: str) -> int:
 
 def cmd_kse_report(args) -> int:
     net = _load_net(args.weights)
-    report = kse_scores(
-        net, KseConfig(alpha=args.alpha, k_neighbors=args.k_neighbors)
-    )
+    kse = KseConfig(**given(vars(args), ("alpha", "k_neighbors")))
+    report = kse_scores(net, kse)
     sweep = []
     for t in SWEEP_THRESHOLDS:
         res = drop_kernels(net, report, t)
@@ -409,8 +408,8 @@ def cmd_kse_report(args) -> int:
     )])
     resolved = {
         "weights": str(args.weights),
-        "alpha": args.alpha,
-        "k_neighbors": args.k_neighbors,
+        "alpha": kse.alpha,
+        "k_neighbors": kse.k_neighbors,
         "thresholds": list(SWEEP_THRESHOLDS),
     }
     return write_run(
@@ -577,8 +576,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("kse-report", help="score a net and sweep drop thresholds")
     sp.add_argument("weights")
-    sp.add_argument("--alpha", type=float, default=1.0)
-    sp.add_argument("--k-neighbors", type=int, default=5)
+    # unset flags stay off args, so KseConfig's defaults apply
+    sp.add_argument("--alpha", type=float, default=argparse.SUPPRESS)
+    sp.add_argument("--k-neighbors", type=int, default=argparse.SUPPRESS)
     add_common(sp)
     sp.set_defaults(func=cmd_kse_report)
 
@@ -609,7 +609,7 @@ def main(argv=None) -> int:
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
-    except (DataError, WeightFileError, NonFiniteLossError) as e:
+    except (DataError, DataFileError, WeightFileError, NonFiniteLossError) as e:
         print(f"data error: {e}", file=sys.stderr)
         return 3
     except ValueError as e:

@@ -11,6 +11,8 @@ zero-weight network is exactly the identity on that slice.
 from __future__ import annotations
 
 import hashlib
+import itertools
+import math
 import struct
 from dataclasses import dataclass
 
@@ -20,11 +22,10 @@ from .ops import (
     BatchNormParams,
     BnStats,
     ConvParams,
-    _backward_from_cols,
-    _forward_from_cols,
-    _im2col,
     batchnorm_backward,
     batchnorm_forward,
+    conv2d_backward,
+    conv2d_forward,
     relu_backward,
     relu_forward,
 )
@@ -168,17 +169,10 @@ def _check_input(net: Network, x: np.ndarray) -> None:
 
 def _run(net: Network, x: np.ndarray, mode: str, want_cache: bool):
     center = net.config.input_slices // 2
-    b, _, hh, ww = x.shape
     h = x
     caches: list[BlockCache] = []
     for block in net.blocks:
-        if h.shape[1] != block.conv.in_channels:
-            raise ValueError(
-                f"conv input has {h.shape[1]} channels, weights expect "
-                f"{block.conv.in_channels}"
-            )
-        cols = _im2col(h)
-        conv_out = _forward_from_cols(cols, block.conv, b, hh, ww)
+        conv_out, cols = conv2d_forward(h, block.conv)
         bn_stats = None
         out = conv_out
         if block.bn is not None:
@@ -243,7 +237,7 @@ def backward(net: Network, caches: list[BlockCache], grad_y: np.ndarray) -> list
             g, g_gamma, g_beta = batchnorm_backward(
                 cache.conv_out, block.bn, cache.bn_stats, g
             )
-        g, g_w, g_b = _backward_from_cols(cache.cols, block.conv, g)
+        g, g_w, g_b = conv2d_backward(cache.cols, block.conv, g)
         grads[i] = BlockGrads(g_w, g_b, g_gamma, g_beta)
     return grads
 
@@ -318,81 +312,87 @@ def save_weights(net: Network, path) -> None:
             f.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
 
 
-def _read(f, n: int, what: str) -> bytes:
-    buf = f.read(n)
-    if len(buf) != n:
-        raise TruncatedFileError(f"truncated weight file while reading {what}")
-    return buf
-
-
 def load_weights(path, expect: NetworkConfig | None = None) -> Network:
     """Read a weight file back into a Network; round-trips bit-exactly.
 
-    ``expect`` pins the config the caller requires; the first array whose
-    shape disagrees with that expectation is named in the error.
+    The array table is checked once, against ``expect`` (the config the
+    caller requires) or else the header's config, before any data is read
+    or any network is built; the first array that disagrees is named in
+    the error. Every declared length is bounded by the bytes left in the
+    file. A corrupt header or name, non-finite data or trailing bytes
+    raise WeightFileError too.
     """
     with open(path, "rb") as f:
-        if _read(f, 4, "magic") != WEIGHT_MAGIC:
-            raise BadMagicError("bad magic: not a weight file")
-        version, depth, channels, slices, tag_len = struct.unpack(
-            "<IIIII", _read(f, 20, "header")
+        buf = f.read()
+    pos = 0
+
+    def take(n: int, what: str) -> bytes:
+        nonlocal pos
+        if n > len(buf) - pos:
+            raise TruncatedFileError(f"truncated weight file while reading {what}")
+        pos += n
+        return buf[pos - n : pos]
+
+    if take(4, "magic") != WEIGHT_MAGIC:
+        raise BadMagicError("bad magic: not a weight file")
+    version, depth, channels, slices, tag_len = struct.unpack("<IIIII", take(20, "header"))
+    if version != WEIGHT_VERSION:
+        raise UnsupportedVersionError(
+            f"unsupported weight file version {version} (expected {WEIGHT_VERSION})"
         )
-        if version != WEIGHT_VERSION:
-            raise UnsupportedVersionError(
-                f"unsupported weight file version {version} (expected {WEIGHT_VERSION})"
-            )
-        tag = _read(f, tag_len, "version tag").decode()
+    try:  # a non-UTF-8 tag or name and an invalid config are ValueErrors
+        tag = take(tag_len, "version tag").decode()
         config = NetworkConfig(depth, channels, slices)
-        (n_items,) = struct.unpack("<I", _read(f, 4, "array count"))
-        table: list[tuple[str, tuple[int, ...]]] = []
+        (n_items,) = struct.unpack("<I", take(4, "array count"))
+        table = []
         for _ in range(n_items):
-            (name_len,) = struct.unpack("<I", _read(f, 4, "name length"))
-            name = _read(f, name_len, "array name").decode()
-            (ndim,) = struct.unpack("<I", _read(f, 4, "ndim"))
-            shape = struct.unpack(f"<{ndim}I", _read(f, 4 * ndim, "shape"))
-            table.append((name, shape))
+            (name_len,) = struct.unpack("<I", take(4, "name length"))
+            name = take(name_len, "array name").decode()
+            (ndim,) = struct.unpack("<I", take(4, "ndim"))
+            table.append((name, struct.unpack(f"<{ndim}I", take(4 * ndim, "shape"))))
+    except ValueError as e:
+        raise WeightFileError(f"corrupt weight file header: {e}") from e
+    want = expect or config
+    _check_table(table, want)
+    if config != want:
+        raise ShapeMismatchError(f"header says {config}, but the arrays are those of {want}")
 
-        if expect is not None:
-            _check_expected_table(table, expect, config)
-
-        arrays: dict[str, np.ndarray] = {}
-        for name, shape in table:
-            count = int(np.prod(shape)) if shape else 1
-            raw = _read(f, 4 * count, f"data of {name}")
-            arrays[name] = np.frombuffer(raw, dtype="<f4").reshape(shape).copy()
+    arrays = []
+    for name, shape in table:
+        arr = np.frombuffer(take(4 * math.prod(shape), f"data of {name}"), dtype="<f4")
+        if not np.isfinite(arr).all():
+            raise WeightFileError(f"non-finite values in {name}")
+        arrays.append(arr.reshape(shape))
+    if pos != len(buf):
+        raise WeightFileError(f"{len(buf) - pos} trailing bytes after the weight data")
 
     net = build_network(config, seed=0, version_tag=tag)
-    own = dict(_param_arrays(net))
-    if set(own) != set(arrays):
-        missing = sorted(set(own) ^ set(arrays))
-        raise ShapeMismatchError(f"array table does not match config: {missing[:4]}")
-    for name, arr in arrays.items():
-        if own[name].shape != arr.shape:
-            raise ShapeMismatchError(
-                f"shape mismatch at {name}: file has {arr.shape}, "
-                f"config implies {own[name].shape}"
-            )
-        own[name][...] = arr
+    for (_, own), arr in zip(_param_arrays(net), arrays):
+        own[...] = arr
     return net
 
 
-def _check_expected_table(table, expect: NetworkConfig, config: NetworkConfig) -> None:
-    probe = build_network(expect, seed=0)
-    want = _param_arrays(probe)
-    have = dict(table)
-    for name, arr in want:
-        if name not in have:
+def _array_table(config: NetworkConfig):
+    """Yield (name, shape) of every array a network of ``config`` persists,
+    in file order, without building the network."""
+    d, ch = config.depth, config.channels
+    for i in range(d):
+        c_in = config.input_slices if i == 0 else ch
+        c_out = 1 if i == d - 1 else ch
+        yield f"block{i:02d}.conv.weight", (c_out, c_in, 3, 3)
+        if 0 < i < d - 1:
+            names = ("bn.gamma", "bn.beta", "bn.running_mean", "bn.running_var")
+        else:
+            names = ("conv.bias",)
+        for name in names:
+            yield f"block{i:02d}.{name}", (c_out,)
+
+
+def _check_table(table, config: NetworkConfig) -> None:
+    """Match a file's array table entry by entry against ``config``'s; the
+    first disagreement ends the walk, so a huge config is never expanded."""
+    for have, want in itertools.zip_longest(table, _array_table(config)):
+        if have != want:
             raise ShapeMismatchError(
-                f"shape mismatch at {name}: missing from file "
-                f"(file depth={config.depth}, expected depth={expect.depth})"
+                f"shape mismatch at {(want or have)[0]}: file has {have}, expected {want}"
             )
-        if tuple(arr.shape) != tuple(have[name]):
-            raise ShapeMismatchError(
-                f"shape mismatch at {name}: file has {tuple(have[name])}, "
-                f"expected {tuple(arr.shape)}"
-            )
-    extras = [n for n, _ in table if n not in dict(want)]
-    if extras:
-        raise ShapeMismatchError(
-            f"shape mismatch at {extras[0]}: not part of the expected config"
-        )

@@ -117,22 +117,44 @@ def _im2col(x: np.ndarray) -> np.ndarray:
     return cols
 
 
-def _forward_from_cols(
-    cols: np.ndarray, params: ConvParams, b: int, h: int, w: int
-) -> np.ndarray:
+def conv2d_forward(x: np.ndarray, params: ConvParams) -> tuple[np.ndarray, np.ndarray]:
+    """Cross-correlate [B, C, H, W] with params, zero padding 1, stride 1.
+
+    Returns the [B, N, H, W] output (bias added per output channel when
+    present) and the input's patch matrix, which conv2d_backward takes.
+    """
+    if x.ndim != 4:
+        raise ValueError(f"conv input must be [B, C, H, W], got shape {x.shape}")
+    if x.shape[1] != params.in_channels:
+        raise ValueError(
+            f"conv input has {x.shape[1]} channels, weights expect "
+            f"{params.in_channels}"
+        )
+    b, _, h, w = x.shape
     n = params.out_channels
-    wmat = params.weights.reshape(n, -1).astype(cols.dtype, copy=False)
-    out = np.matmul(wmat, cols)  # [B, N, H*W]
+    cols = _im2col(x)
+    wmat = params.weights.reshape(n, -1).astype(x.dtype, copy=False)
+    y = np.matmul(wmat, cols)  # [B, N, H*W]
     if params.bias is not None:
-        out += params.bias.astype(cols.dtype, copy=False)[:, None]
-    return out.reshape(b, n, h, w)
+        y += params.bias.astype(x.dtype, copy=False)[:, None]
+    return y.reshape(b, n, h, w), cols
 
 
-def _backward_from_cols(
+def conv2d_backward(
     cols: np.ndarray, params: ConvParams, grad_out: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """Gradients of conv2d_forward from its patch matrix ``cols``:
+    (grad_input, grad_weights, grad_bias).
+
+    grad_bias is None when the layer has no bias.
+    """
     b, n, h, w = grad_out.shape
     c = params.in_channels
+    if cols.shape != (b, c * 9, h * w) or n != params.out_channels:
+        raise ValueError(
+            f"grad_out shape {grad_out.shape} does not fit patch matrix "
+            f"{cols.shape} and weights {params.weights.shape}"
+        )
     gmat = grad_out.reshape(b, n, h * w)
     grad_w = np.matmul(gmat, cols.transpose(0, 2, 1)).sum(axis=0)
     grad_w = grad_w.reshape(n, c, KERNEL_SIZE, KERNEL_SIZE)
@@ -143,41 +165,8 @@ def _backward_from_cols(
     w_flip = np.ascontiguousarray(
         params.weights[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
     )
-    gcols = _im2col(grad_out)
-    grad_x = _forward_from_cols(gcols, ConvParams(w_flip), b, h, w)
+    grad_x, _ = conv2d_forward(grad_out, ConvParams(w_flip))
     return grad_x, grad_w, grad_b
-
-
-def conv2d_forward(x: np.ndarray, params: ConvParams) -> np.ndarray:
-    """Cross-correlate [B, C, H, W] with params, zero padding 1, stride 1.
-
-    Returns [B, N, H, W]; adds bias per output channel when present.
-    """
-    if x.ndim != 4:
-        raise ValueError(f"conv input must be [B, C, H, W], got shape {x.shape}")
-    if x.shape[1] != params.in_channels:
-        raise ValueError(
-            f"conv input has {x.shape[1]} channels, weights expect "
-            f"{params.in_channels}"
-        )
-    b, c, h, w = x.shape
-    return _forward_from_cols(_im2col(x), params, b, h, w)
-
-
-def conv2d_backward(
-    x: np.ndarray, params: ConvParams, grad_out: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """Gradients of conv2d_forward: (grad_input, grad_weights, grad_bias).
-
-    grad_bias is None when the layer has no bias.
-    """
-    b, c, h, w = x.shape
-    n = params.out_channels
-    if grad_out.shape != (b, n, h, w):
-        raise ValueError(
-            f"grad_out shape {grad_out.shape} != expected {(b, n, h, w)}"
-        )
-    return _backward_from_cols(_im2col(x), params, grad_out)
 
 
 def batchnorm_forward(

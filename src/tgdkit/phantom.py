@@ -13,6 +13,7 @@ so a manifest reproduces a dataset byte for byte.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -29,6 +30,10 @@ SLICE_MODULATION = 0.1
 
 TEXTURE_AMPLITUDE = 0.15
 TEXTURE_SMOOTHING = 4.0
+
+
+class DataFileError(ValueError):
+    """A stored volume is the wrong size or holds non-finite values."""
 
 
 @dataclass(frozen=True)
@@ -557,8 +562,12 @@ def _write_f32(path, arr: np.ndarray) -> None:
 
 def _read_f32(path, shape) -> np.ndarray:
     raw = Path(path).read_bytes()
+    expected = math.prod(shape)
+    if len(raw) != 4 * expected:
+        raise DataFileError(
+            f"{path}: expected {expected} float32 values, got {len(raw) / 4:g}"
+        )
     arr = np.frombuffer(raw, dtype="<f4")
-    expected = int(np.prod(shape))
-    if arr.size != expected:
-        raise ValueError(f"{path}: expected {expected} float32 values, got {arr.size}")
+    if not np.isfinite(arr).all():
+        raise DataFileError(f"{path}: non-finite values")
     return arr.reshape(shape).copy()

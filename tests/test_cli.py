@@ -11,6 +11,8 @@ from tgdkit.model import NetworkConfig, build_network, load_weights, network_has
 from tgdkit.phantom import ScanProtocol, Study, save_study
 from tgdkit.metrics import Roi, save_rois
 
+from test_model import CORRUPTIONS, saved_3x4
+
 NET = {"depth": 3, "channels": 4, "input_slices": 3}
 
 
@@ -127,8 +129,23 @@ class TestTrain:
         p = tmp_path / "t.json"
         p.write_text(json.dumps(cfg))
         assert main(["train", str(p), "--out", str(tmp_path / "o")]) == 3
-        assert "data error: loss is nan" in capsys.readouterr().err
+        assert "input_0.1.f32: non-finite values" in capsys.readouterr().err
         assert not list(tmp_path.rglob("record.jsonl"))
+
+    def test_nan_in_validation_phantom_is_data_error(self, workspace, tmp_path, capsys):
+        # phantom_002 is the one validation phantom (n_train 2, n_val 1)
+        shutil.copytree(workspace / "data" / "dataset", tmp_path / "dataset")
+        f = tmp_path / "dataset" / "phantom_002" / "input_0.1.f32"
+        vol = np.frombuffer(f.read_bytes(), dtype="<f4").copy()
+        vol[3] = np.nan
+        f.write_bytes(vol.tobytes())
+        cfg = json.loads((workspace / "train.json").read_text())
+        cfg["dataset"] = str(tmp_path / "dataset")
+        p = tmp_path / "t.json"
+        p.write_text(json.dumps(cfg))
+        assert main(["train", str(p), "--out", str(tmp_path / "o")]) == 3
+        assert "data error:" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
 
 class TestTgdFinetune:
@@ -265,6 +282,14 @@ class TestKseReport:
         p.write_bytes(b"JUNKJUNKJUNK")
         assert main(["kse-report", str(p), "--out", str(tmp_path / "o")]) == 3
 
+    @pytest.mark.parametrize("damage", sorted(CORRUPTIONS))
+    def test_corrupt_weights_exit_3_and_write_nothing(self, tmp_path, capsys, damage):
+        p = tmp_path / "net.tgdw"
+        p.write_bytes(CORRUPTIONS[damage](saved_3x4(p)))
+        assert main(["kse-report", str(p), "--out", str(tmp_path / "o")]) == 3
+        assert "data error:" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
 
 class TestPruneEval:
     def test_table_written_and_fraction_monotone(self, workspace, tmp_path):
@@ -353,6 +378,18 @@ class TestEvaluate:
         rep = json.loads((tmp_path / "o" / "metrics.json").read_text())
         assert rep["level"] == "1"
         assert rep["n_realizations"] == 3
+
+    def test_short_study_volume_is_data_error(self, workspace, tmp_path, capsys):
+        study_dir = tmp_path / "probe"
+        shutil.copytree(workspace / "data" / "studies" / "probe", study_dir)
+        f = study_dir / "real_1.f32"
+        f.write_bytes(f.read_bytes()[:-4])  # one float32 value short
+        assert main([
+            "evaluate", str(workspace / "base" / "weights.tgdw"), str(study_dir),
+            "--out", str(tmp_path / "o"),
+        ]) == 3
+        assert "real_1.f32: expected" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_missing_roi_file_exit_2(self, workspace, tmp_path):
         study_dir = workspace / "data" / "studies" / "probe"

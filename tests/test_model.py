@@ -1,5 +1,7 @@
 """Network construction, forward semantics, and weight-file round trips."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,9 @@ from tgdkit.model import (
     ShapeMismatchError,
     TruncatedFileError,
     UnsupportedVersionError,
+    WeightFileError,
+    _array_table,
+    _param_arrays,
     backward,
     build_network,
     denoise_volume,
@@ -22,6 +27,23 @@ from tgdkit.model import (
 from tgdkit.ops import batchnorm_forward, conv2d_forward, relu_forward
 
 from oracles import central_difference, rel_err
+
+
+def saved_3x4(path) -> bytes:
+    """Save a 3x4 net with an empty version tag to ``path``; its bytes."""
+    save_weights(build_network(NetworkConfig(depth=3, channels=4), seed=0), path)
+    return path.read_bytes()
+
+
+# Damage to a saved_3x4 file. The header's depth field sits at offset 8 and
+# the first array name at offset 32 (magic, five header words, the empty
+# tag, the array count, the name length).
+CORRUPTIONS = {
+    "nan_weight": lambda raw: raw[:-4] + struct.pack("<f", float("nan")),
+    "depth_0": lambda raw: raw[:8] + struct.pack("<I", 0) + raw[12:],
+    "non_utf8_name": lambda raw: raw[:32] + b"\xff" + raw[33:],
+    "trailing_byte": lambda raw: raw + b"\x00",
+}
 
 
 def zero_net(config, seed=0):
@@ -101,7 +123,7 @@ class TestForward:
 
         h = x
         for b in net.blocks:
-            h = conv2d_forward(h, b.conv)
+            h, _ = conv2d_forward(h, b.conv)
             if b.bn is not None:
                 h, _ = batchnorm_forward(h, b.bn, "infer")
             if b.relu:
@@ -237,3 +259,24 @@ class TestWeightFile:
         save_weights(net8, p)
         with pytest.raises(ShapeMismatchError, match="block02"):
             load_weights(p, expect=NetworkConfig(depth=3, channels=4))
+
+    def test_truncation_at_every_offset(self, tmp_path):
+        raw = saved_3x4(tmp_path / "net.tgdw")
+        p = tmp_path / "cut.tgdw"
+        for n in range(len(raw)):
+            p.write_bytes(raw[:n])
+            with pytest.raises(TruncatedFileError):
+                load_weights(p)
+
+    @pytest.mark.parametrize("damage", sorted(CORRUPTIONS))
+    def test_corrupt_file_is_weight_file_error(self, tmp_path, damage):
+        p = tmp_path / "net.tgdw"
+        p.write_bytes(CORRUPTIONS[damage](saved_3x4(p)))
+        with pytest.raises(WeightFileError):
+            load_weights(p)
+
+    @pytest.mark.parametrize("depth,channels,slices", [(3, 1, 1), (4, 5, 3), (6, 2, 5)])
+    def test_array_table_is_what_a_built_network_persists(self, depth, channels, slices):
+        config = NetworkConfig(depth, channels, slices)
+        built = [(name, a.shape) for name, a in _param_arrays(build_network(config, 0))]
+        assert list(_array_table(config)) == built

@@ -17,6 +17,12 @@ from tgdkit.ops import (
 from oracles import batchnorm_twopass, central_difference, conv2d_loop, rel_err
 
 
+def conv_grads(x, params, g):
+    """conv2d_backward fed the patch matrix of conv2d_forward on x."""
+    _, cols = conv2d_forward(x, params)
+    return conv2d_backward(cols, params, g)
+
+
 def rand_conv(rng, n, c, dtype=np.float64, bias=True):
     return ConvParams(
         rng.standard_normal((n, c, 3, 3)).astype(dtype),
@@ -31,7 +37,7 @@ class TestConvForward:
             np.ones((2, 1, 3, 3), dtype=np.float32),
             np.array([1.5, -2.0], dtype=np.float32),
         )
-        out = conv2d_forward(x, params)
+        out, _ = conv2d_forward(x, params)
         assert np.all(out[0, 0] == 1.5)
         assert np.all(out[0, 1] == -2.0)
 
@@ -40,14 +46,14 @@ class TestConvForward:
         x = rng.standard_normal((1, 1, 6, 7)).astype(np.float32)
         w = np.zeros((1, 1, 3, 3), dtype=np.float32)
         w[0, 0, 1, 1] = 1.0
-        out = conv2d_forward(x, ConvParams(w, np.zeros(1, dtype=np.float32)))
+        out, _ = conv2d_forward(x, ConvParams(w, np.zeros(1, dtype=np.float32)))
         np.testing.assert_array_equal(out, x)
 
     def test_matches_loop_oracle(self):
         rng = np.random.default_rng(1)
         x = rng.standard_normal((1, 2, 5, 5))
         params = rand_conv(rng, 3, 2)
-        out = conv2d_forward(x, params)
+        out, _ = conv2d_forward(x, params)
         ref = conv2d_loop(x, params.weights, params.bias)
         np.testing.assert_allclose(out, ref, atol=1e-6)
 
@@ -59,7 +65,7 @@ class TestConvForward:
         x = rng.standard_normal((b, c, h, w))
         params = rand_conv(rng, int(n), int(c), bias=bool(case % 2))
         np.testing.assert_allclose(
-            conv2d_forward(x, params),
+            conv2d_forward(x, params)[0],
             conv2d_loop(x, params.weights, params.bias),
             atol=1e-6,
         )
@@ -74,9 +80,10 @@ class TestConvForward:
         rng = np.random.default_rng(2)
         x = rng.standard_normal((2, 3, 6, 6)).astype(np.float32)
         params = rand_conv(rng, 4, 3, dtype=np.float32)
-        a = conv2d_forward(x, params)
-        b = conv2d_forward(x, params)
+        a, cols_a = conv2d_forward(x, params)
+        b, cols_b = conv2d_forward(x, params)
         np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(cols_a, cols_b)
 
 
 class TestConvBackward:
@@ -84,7 +91,7 @@ class TestConvBackward:
         rng = np.random.default_rng(3)
         x = rng.standard_normal((1, 2, 4, 4))
         params = rand_conv(rng, 3, 2)
-        gx, gw, gb = conv2d_backward(x, params, np.zeros((1, 3, 4, 4)))
+        gx, gw, gb = conv_grads(x, params, np.zeros((1, 3, 4, 4)))
         assert not gx.any() and not gw.any() and not gb.any()
 
     def test_single_pixel_grad_weights_is_outer_product(self):
@@ -96,7 +103,7 @@ class TestConvBackward:
         g = np.zeros((1, 1, 3, 3))
         g[0, 0, 1, 1] = 5.0
         params = ConvParams(np.zeros((1, 1, 3, 3)), np.zeros(1))
-        _, gw, gb = conv2d_backward(x, params, g)
+        _, gw, gb = conv_grads(x, params, g)
         expected = np.zeros((1, 1, 3, 3))
         expected[0, 0, 1, 1] = 10.0
         np.testing.assert_array_equal(gw, expected)
@@ -110,14 +117,14 @@ class TestConvBackward:
         g = rng.standard_normal((2, 3, 4, 4))
 
         def loss_of_x(xv):
-            return float((conv2d_forward(xv, params) * g).sum())
+            return float((conv2d_forward(xv, params)[0] * g).sum())
 
         def loss_of_w(wv):
             return float(
-                (conv2d_forward(x, ConvParams(wv, params.bias)) * g).sum()
+                (conv2d_forward(x, ConvParams(wv, params.bias))[0] * g).sum()
             )
 
-        gx, gw, gb = conv2d_backward(x, params, g)
+        gx, gw, gb = conv_grads(x, params, g)
         assert rel_err(gx, central_difference(loss_of_x, x)).max() < 1e-4
         assert rel_err(gw, central_difference(loss_of_w, params.weights)).max() < 1e-4
         np.testing.assert_allclose(gb, g.sum(axis=(0, 2, 3)), rtol=1e-12)
@@ -126,7 +133,7 @@ class TestConvBackward:
         rng = np.random.default_rng(4)
         x = rng.standard_normal((1, 2, 4, 4))
         params = rand_conv(rng, 2, 2, bias=False)
-        _, _, gb = conv2d_backward(x, params, np.ones((1, 2, 4, 4)))
+        _, _, gb = conv_grads(x, params, np.ones((1, 2, 4, 4)))
         assert gb is None
 
     def test_shape_mismatch_rejected(self):
@@ -134,7 +141,7 @@ class TestConvBackward:
         x = rng.standard_normal((1, 2, 4, 4))
         params = rand_conv(rng, 2, 2)
         with pytest.raises(ValueError):
-            conv2d_backward(x, params, np.zeros((1, 2, 5, 4)))
+            conv_grads(x, params, np.zeros((1, 2, 5, 4)))
 
 
 def make_bn(c, dtype=np.float64, gamma=None, beta=None):

@@ -1,8 +1,14 @@
 """Training-protocol tests: convergence, determinism, mask degeneracies."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import tgdkit
 from tgdkit.model import NetworkConfig, network_hash
 from tgdkit.phantom import (
     ScanProtocol,
@@ -81,6 +87,32 @@ class TestTrainScratch:
         net_b, rec_b = train_scratch(cfg, ds)
         assert network_hash(net_a) == network_hash(net_b)
         assert rec_a.epoch_losses == rec_b.epoch_losses
+
+    def test_weights_do_not_depend_on_blas_threads(self):
+        # BLAS reads its thread count at import, so each count gets a process
+        script = (
+            "import numpy as np\n"
+            "from tgdkit.model import NetworkConfig, network_hash\n"
+            "from tgdkit.phantom import ScanProtocol, build_dataset, random_phantom_spec\n"
+            "from tgdkit.training import TrainConfig, train_scratch\n"
+            "rng = np.random.default_rng(0)\n"
+            "specs = [random_phantom_spec(rng, 16, 16, slices=3, n_lesions=1) for _ in range(2)]\n"
+            "ds = build_dataset(specs, ScanProtocol(1.5, 2e5, seed=1), count_levels=(0.1,))\n"
+            "cfg = TrainConfig(mode='scratch', epochs=2, batch_size=4, seed=0,\n"
+            "                  network=NetworkConfig(depth=3, channels=8))\n"
+            "print(network_hash(train_scratch(cfg, ds)[0]))\n"
+        )
+        src = str(Path(tgdkit.__file__).resolve().parents[1])
+        hashes = []
+        for n in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=n, OMP_NUM_THREADS=n)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            run = subprocess.run(
+                [sys.executable, "-c", script], env=env, capture_output=True,
+                text=True, timeout=300, check=True,
+            )
+            hashes.append(run.stdout.strip())
+        assert len(hashes[0]) == 64 and hashes[0] == hashes[1]
 
     def test_empty_dataset_rejected(self):
         cfg = TrainConfig(mode="scratch", epochs=1, network=TOY_NET)
