@@ -17,6 +17,7 @@ import json
 import sys
 import time
 from collections.abc import Callable
+from dataclasses import replace
 from functools import partial
 from pathlib import Path
 
@@ -46,7 +47,6 @@ from .phantom import (
     DATASET_COUNT_LEVELS,
     DataFileError,
     Lesion,
-    PhantomSpec,
     ScanProtocol,
     background_voxels,
     build_dataset,
@@ -269,12 +269,10 @@ def cmd_gen_data(args) -> int:
     }
 
     rng = np.random.default_rng(seed)
+    lesions = given(cfg, ("lesion_radius", "lesion_contrast"), "phantoms")
     specs = [
         random_phantom_spec(
-            rng, h, w, slices=slices,
-            n_lesions=opt(cfg, "phantoms.n_lesions", 2),
-            lesion_radius=opt(cfg, "phantoms.lesion_radius", 3.0),
-            lesion_contrast=opt(cfg, "phantoms.lesion_contrast", 2.0),
+            rng, h, w, slices=slices, **lesions, **given(cfg, ("n_lesions",), "phantoms")
         )
         for _ in range(n_train + n_val)
     ]
@@ -284,11 +282,9 @@ def cmd_gen_data(args) -> int:
     }
     for tcfg in resolved["test_studies"]:
         name = need(tcfg, "name", str, where="test_studies entry")
+        # a test study draws its own lesion count, not the dataset's
         spec = random_phantom_spec(
-            rng, h, w, slices=slices,
-            n_lesions=opt(tcfg, "n_lesions", 2),
-            lesion_radius=opt(cfg, "phantoms.lesion_radius", 3.0),
-            lesion_contrast=opt(cfg, "phantoms.lesion_contrast", 2.0),
+            rng, h, w, slices=slices, **lesions, **given(tcfg, ("n_lesions",))
         )
         ood = opt(tcfg, "ood_lesion", None)
         if ood is not None:
@@ -297,26 +293,16 @@ def cmd_gen_data(args) -> int:
                 need(ood, "radius", float, where="ood_lesion"),
                 need(ood, "contrast", float, where="ood_lesion"),
             )
-            spec = PhantomSpec(
-                spec.height, spec.width, spec.slices,
-                spec.ellipses, spec.lesions + (extra,), spec.seed,
-            )
+            spec = replace(spec, lesions=spec.lesions + (extra,))
         study = make_study(
-            spec,
-            protocol,
-            count_levels=tuple(opt(tcfg, "count_levels", [1.0])),
-            n_realizations=opt(tcfg, "n_realizations", 1),
-            n2n_split=opt(tcfg, "n2n_split", False),
+            spec, protocol, **given(tcfg, ("count_levels", "n_realizations", "n2n_split"))
         )
         rois = {
             "lesion": Roi("lesion", lesion_voxels(spec)),
             "background": Roi("background", background_voxels(spec)),
         }
         if ood is not None:
-            ood_only = PhantomSpec(
-                spec.height, spec.width, spec.slices, spec.ellipses,
-                (extra,), spec.seed,
-            )
+            ood_only = replace(spec, lesions=(extra,))
             rois["ood_lesion"] = Roi("lesion", lesion_voxels(ood_only))
 
         def write_study(path, study=study, rois=rois):

@@ -16,7 +16,7 @@ weights; scoring never mutates a network.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -96,7 +96,6 @@ class LayerKse:
     sparsity: np.ndarray
     entropy: np.ndarray
     sparsity_norm: np.ndarray
-    entropy_norm: np.ndarray
     kse: np.ndarray
 
 
@@ -128,10 +127,8 @@ class KseReport:
             ],
         }
 
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(
-            self.to_dict(), indent=indent, sort_keys=True, allow_nan=False
-        )
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2, sort_keys=True, allow_nan=False)
 
 
 def kse_scores(net: Network, config: KseConfig | None = None) -> KseReport:
@@ -148,14 +145,10 @@ def kse_scores(net: Network, config: KseConfig | None = None) -> KseReport:
         w = block.conv.weights
         c_in = w.shape[1]
         s = np.array([kernel_sparsity(w, c) for c in range(c_in)])
-        if w.shape[0] >= 2:
-            e = np.array([kernel_entropy(w, c, config) for c in range(c_in)])
-        else:
-            e = np.zeros(c_in)
+        e = np.array([kernel_entropy(w, c, config) for c in range(c_in)])
         s_n = _minmax(s)
-        e_n = _minmax(e)
-        kse = np.sqrt(s_n / (1.0 + config.alpha * e_n))
-        layers.append(LayerKse(i, s, e, s_n, e_n, kse))
+        kse = np.sqrt(s_n / (1.0 + config.alpha * _minmax(e)))
+        layers.append(LayerKse(i, s, e, s_n, kse))
     return KseReport(layers, config, network_hash(net))
 
 
@@ -163,7 +156,6 @@ def kse_scores(net: Network, config: KseConfig | None = None) -> KseReport:
 class DropResult:
     network: Network
     dropped_fraction: float
-    dropped_channels: dict[int, list[int]] = field(default_factory=dict)
 
 
 def drop_kernels(net: Network, report: KseReport, threshold: float) -> DropResult:
@@ -181,12 +173,10 @@ def drop_kernels(net: Network, report: KseReport, threshold: float) -> DropResul
     out = net.copy()
     total = sum(b.conv.weights.size for b in net.blocks)
     dropped = 0
-    dropped_channels: dict[int, list[int]] = {}
     for i in range(1, net.depth - 1):
         scores = report.layer(i).kse
         cols = [c for c in range(len(scores)) if scores[c] < threshold]
         if cols:
             out.blocks[i].conv.weights[:, cols] = 0
             dropped += out.blocks[i].conv.weights[:, cols].size
-            dropped_channels[i] = cols
-    return DropResult(out, dropped / total, dropped_channels)
+    return DropResult(out, dropped / total)

@@ -10,7 +10,8 @@ Every persisted array of a block (conv weight and bias, batchnorm gamma,
 beta, running mean and running variance) has the block's output channel on
 axis 0, so a block's one conv mask covers all of them. The optimizer step is
 a single flat Adam update over every trained array of the network, with the
-masks expanded once into a keep-vector over the same layout.
+masks expanded once into a keep-vector over the same layout. An unmasked
+run is the all-ones mask and takes the same path.
 
 The freeze contract is exact: a frozen channel's weights, bias, batchnorm
 affine terms, running statistics and optimizer moments are bit-identical
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kse import KseConfig, KseReport, kse_scores
-from .model import BlockGrads, Network, block_arrays, network_hash
+from .model import BlockGrads, Network, block_arrays, has_batchnorm, network_hash
 from .ops import BatchNormParams, BnStats
 
 
@@ -35,7 +36,6 @@ class MaskSet:
     """Per-block channel masks plus the provenance needed to audit them."""
 
     conv_masks: list[np.ndarray]
-    bn_masks: list[np.ndarray | None]
     threshold: float
     source: str
     generation: int = 1
@@ -44,6 +44,12 @@ class MaskSet:
         for m in self.conv_masks:
             if not np.isin(m, (0, 1)).all():
                 raise ValueError("mask entries must be 0 or 1")
+
+    @property
+    def bn_masks(self) -> list[np.ndarray | None]:
+        """A block's batchnorm shares its conv mask; None where it has none."""
+        n = len(self.conv_masks)
+        return [m if has_batchnorm(i, n) else None for i, m in enumerate(self.conv_masks)]
 
     def to_dict(self) -> dict:
         return {
@@ -56,10 +62,8 @@ class MaskSet:
             ],
         }
 
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(
-            self.to_dict(), indent=indent, sort_keys=True, allow_nan=False
-        )
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2, sort_keys=True, allow_nan=False)
 
     def retrained_fraction(self) -> float:
         total = sum(m.size for m in self.conv_masks)
@@ -87,7 +91,6 @@ def build_masks(
     if report.source != network_hash(net):
         raise ValueError("report was computed from a different network")
     conv_masks: list[np.ndarray] = []
-    bn_masks: list[np.ndarray | None] = []
     for i, block in enumerate(net.blocks):
         n_out = block.conv.out_channels
         if i == net.depth - 1:
@@ -101,8 +104,7 @@ def build_masks(
                 )
             mask = (downstream < threshold).astype(np.uint8)
         conv_masks.append(mask)
-        bn_masks.append(mask.copy() if block.bn is not None else None)
-    return MaskSet(conv_masks, bn_masks, float(threshold), report.source, generation)
+    return MaskSet(conv_masks, float(threshold), report.source, generation)
 
 
 def remask(
@@ -123,6 +125,11 @@ def remask(
     )
 
 
+def all_ones_masks(net: Network) -> list[np.ndarray]:
+    """Masks that retrain every channel: an unmasked run."""
+    return [np.ones(blk.conv.out_channels, np.uint8) for blk in net.blocks]
+
+
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
@@ -136,7 +143,8 @@ class MaskedAdam:
     whole channel runs of every array (conv weight and bias, BN gamma and
     beta) and one keep-vector freezes them all. Weight decay covers the conv
     entries only. The flat moments live here; the network keeps its own
-    arrays and each step writes into them in place.
+    arrays and each step writes into them in place. ``conv_masks=None``
+    trains every channel (the all-ones masks).
     """
 
     def __init__(
@@ -146,26 +154,26 @@ class MaskedAdam:
         lr: float,
         weight_decay: float = 0.0,
     ):
-        if conv_masks is not None and len(conv_masks) != net.depth:
+        if conv_masks is None:
+            conv_masks = all_ones_masks(net)
+        if len(conv_masks) != net.depth:
             raise ValueError(f"{len(conv_masks)} masks for {net.depth} blocks")
         keep, decay, sizes = [], [], []
-        for i, blk in enumerate(net.blocks):
-            mask = None if conv_masks is None else conv_masks[i]
-            if mask is not None and len(mask) != blk.conv.out_channels:
+        for i, (blk, mask) in enumerate(zip(net.blocks, conv_masks)):
+            if len(mask) != blk.conv.out_channels:
                 raise ValueError(
                     f"mask length {len(mask)} != output channels "
                     f"{blk.conv.out_channels} in block {i}"
                 )
             for name, arr in block_arrays(blk, trained_only=True):
                 sizes.append(arr.size)
-                if mask is not None:
-                    keep.append(np.repeat(mask == 0, arr.size // len(mask)))
+                keep.append(np.repeat(mask == 0, arr.size // len(mask)))
                 wd = weight_decay if name.startswith("conv.") else 0.0
                 decay.append(np.full(arr.size, wd, arr.dtype))
         self.lr = lr
         self.t = 0
         self.offsets = np.cumsum(sizes)[:-1]
-        self.keep = np.concatenate(keep) if keep else None
+        self.keep = np.concatenate(keep)
         self.decay = np.concatenate(decay)
         self.m = np.zeros(sum(sizes), np.float32)
         self.v = np.zeros_like(self.m)
@@ -183,30 +191,29 @@ class MaskedAdam:
         m_hat = m / (1.0 - ADAM_BETA1**self.t)
         v_hat = v / (1.0 - ADAM_BETA2**self.t)
         p_new = p - self.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
-        if self.keep is not None:
-            p_new = np.where(self.keep, p, p_new)
-            m = np.where(self.keep, self.m, m)
-            v = np.where(self.keep, self.v, v)
-        self.m, self.v = m, v
+        p_new = np.where(self.keep, p, p_new)
+        self.m = np.where(self.keep, self.m, m)
+        self.v = np.where(self.keep, self.v, v)
         for a, chunk in zip(params, np.split(p_new, self.offsets)):
             a[...] = chunk.reshape(a.shape)
 
 
 def commit_running_stats(
-    params: BatchNormParams, stats: BnStats, bn_mask: np.ndarray | None
+    params: BatchNormParams, stats: BnStats, bn_mask: np.ndarray
 ) -> None:
-    """Apply the EMA-updated running statistics from a train-mode forward.
+    """One EMA step of the running statistics towards a train-mode forward's
+    batch statistics, new = (1 - momentum) * old + momentum * batch.
 
     Frozen channels keep their old running mean/var bit-identically: a frozen
     kernel must behave at inference exactly as it did before retraining, so
     its statistics must not drift either.
     """
-    dt = params.running_mean.dtype
-    new_mean = stats.new_running_mean.astype(dt, copy=False)
-    new_var = stats.new_running_var.astype(dt, copy=False)
-    if bn_mask is not None:
-        keep = bn_mask == 0
-        new_mean = np.where(keep, params.running_mean, new_mean)
-        new_var = np.where(keep, params.running_var, new_var)
-    params.running_mean = new_mean.copy()
-    params.running_var = new_var.copy()
+    keep = bn_mask == 0
+    mom = stats.mean.dtype.type(params.momentum)
+
+    def ema(old: np.ndarray, batch: np.ndarray) -> np.ndarray:
+        new = (1 - mom) * old.astype(batch.dtype, copy=False) + mom * batch
+        return np.where(keep, old, new.astype(old.dtype, copy=False))
+
+    params.running_mean = ema(params.running_mean, stats.mean)
+    params.running_var = ema(params.running_var, stats.var)

@@ -97,6 +97,11 @@ class Network:
         return Network([b.copy() for b in self.blocks], self.config, self.version_tag)
 
 
+def has_batchnorm(index: int, depth: int) -> bool:
+    """Interior blocks are conv + batchnorm + ReLU, with no conv bias."""
+    return 0 < index < depth - 1
+
+
 def build_network(config: NetworkConfig, seed: int, version_tag: str = "") -> Network:
     """Deterministically initialize a network from a seed.
 
@@ -111,7 +116,7 @@ def build_network(config: NetworkConfig, seed: int, version_tag: str = "") -> Ne
         c_out = 1 if i == d - 1 else ch
         std = np.sqrt(2.0 / (c_in * 9))
         weights = (rng.standard_normal((c_out, c_in, 3, 3)) * std).astype(np.float32)
-        interior = 0 < i < d - 1
+        interior = has_batchnorm(i, d)
         bias = None if interior else np.zeros(c_out, dtype=np.float32)
         bn = None
         if interior:
@@ -380,7 +385,7 @@ def _array_table(config: NetworkConfig):
         c_in = config.input_slices if i == 0 else ch
         c_out = 1 if i == d - 1 else ch
         yield f"block{i:02d}.conv.weight", (c_out, c_in, 3, 3)
-        if 0 < i < d - 1:
+        if has_batchnorm(i, d):
             names = ("bn.gamma", "bn.beta", "bn.running_mean", "bn.running_var")
         else:
             names = ("conv.bias",)

@@ -10,6 +10,7 @@ gradient checks).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -55,18 +56,15 @@ class BatchNormParams:
     beta: np.ndarray
     running_mean: np.ndarray
     running_var: np.ndarray
-    momentum: float = 0.1
-    epsilon: float = 1e-5
+    # the same for every layer; the weight file stores neither
+    momentum: ClassVar[float] = 0.1  # EMA weight of a batch in the running stats
+    epsilon: ClassVar[float] = 1e-5
 
     def __post_init__(self):
         c = np.asarray(self.gamma).shape
         for name in ("beta", "running_mean", "running_var"):
             if np.asarray(getattr(self, name)).shape != c:
                 raise ValueError(f"batchnorm {name} shape != gamma shape {c}")
-        if not 0.0 < self.momentum <= 1.0:
-            raise ValueError(f"momentum must be in (0, 1], got {self.momentum}")
-        if self.epsilon <= 0.0:
-            raise ValueError("epsilon must be positive")
         if np.any(np.asarray(self.running_var) <= 0.0):
             raise ValueError("running_var must be strictly positive")
 
@@ -80,24 +78,16 @@ class BatchNormParams:
             self.beta.copy(),
             self.running_mean.copy(),
             self.running_var.copy(),
-            self.momentum,
-            self.epsilon,
         )
 
 
 @dataclass
 class BnStats:
-    """Batch statistics from a train-mode forward, kept for the backward pass.
-
-    ``new_running_mean``/``new_running_var`` are the EMA-updated running
-    statistics; committing them to the params is the caller's job so the op
-    itself stays pure (and so a caller can freeze selected channels).
-    """
+    """Batch statistics from a train-mode forward, kept for the backward
+    pass and for the running-stat update (``masking.commit_running_stats``)."""
 
     mean: np.ndarray
     var: np.ndarray
-    new_running_mean: np.ndarray
-    new_running_var: np.ndarray
 
 
 def _im2col(x: np.ndarray) -> np.ndarray:
@@ -174,10 +164,10 @@ def batchnorm_forward(
 ) -> tuple[np.ndarray, BnStats | None]:
     """Normalize [B, C, H, W] per channel.
 
-    Train mode uses biased batch statistics over (B, H, W) and returns the
-    BnStats needed by the backward pass, including EMA-updated running stats
-    (new = (1 - momentum) * old + momentum * batch). Infer mode uses the
-    stored running statistics and returns stats=None.
+    Train mode uses biased batch statistics over (B, H, W) and returns them
+    as the BnStats the backward pass takes; the running statistics are left
+    as they are. Infer mode uses the stored running statistics and returns
+    stats=None.
     """
     if mode not in ("train", "infer"):
         raise ValueError(f"mode must be 'train' or 'infer', got {mode!r}")
@@ -202,17 +192,7 @@ def batchnorm_forward(
     var = x.var(axis=(0, 2, 3))
     inv_std = 1.0 / np.sqrt(var + dt.type(params.epsilon))
     y = gamma * (x - mean[None, :, None, None]) * inv_std[None, :, None, None] + beta
-
-    mom = dt.type(params.momentum)
-    stats = BnStats(
-        mean=mean,
-        var=var,
-        new_running_mean=(1 - mom) * params.running_mean.astype(dt, copy=False)
-        + mom * mean,
-        new_running_var=(1 - mom) * params.running_var.astype(dt, copy=False)
-        + mom * var,
-    )
-    return y, stats
+    return y, BnStats(mean, var)
 
 
 def batchnorm_backward(

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -31,9 +31,14 @@ SLICE_MODULATION = 0.1
 TEXTURE_AMPLITUDE = 0.15
 TEXTURE_SMOOTHING = 4.0
 
+# pixels the background ROI keeps clear of interior ellipses and lesions
+BACKGROUND_MARGIN = 3.0
+
 
 class DataFileError(ValueError):
-    """A stored volume is the wrong size or holds non-finite values."""
+    """A stored dataset or study is malformed: an unreadable or incomplete
+    JSON sidecar, a file entry outside its directory, or a volume of the
+    wrong size or with non-finite values."""
 
 
 @dataclass(frozen=True)
@@ -70,20 +75,7 @@ class PhantomSpec:
                 raise ValueError(f"lesion at {l.center} r={l.radius} out of bounds")
 
     def to_dict(self) -> dict:
-        return {
-            "height": self.height,
-            "width": self.width,
-            "slices": self.slices,
-            "seed": self.seed,
-            "ellipses": [
-                {"center": list(e.center), "axes": list(e.axes), "intensity": e.intensity}
-                for e in self.ellipses
-            ],
-            "lesions": [
-                {"center": list(l.center), "radius": l.radius, "contrast": l.contrast}
-                for l in self.lesions
-            ],
-        }
+        return asdict(self)
 
     @staticmethod
     def from_dict(d: dict) -> "PhantomSpec":
@@ -116,11 +108,7 @@ class ScanProtocol:
             raise ValueError("count_budget must be positive")
 
     def to_dict(self) -> dict:
-        return {
-            "psf_sigma": self.psf_sigma,
-            "count_budget": self.count_budget,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
     @staticmethod
     def from_dict(d: dict) -> "ScanProtocol":
@@ -241,10 +229,7 @@ def thin(count_image: np.ndarray, p: float, seed: int) -> tuple[np.ndarray, np.n
 
 
 def split_scan(
-    activity: np.ndarray,
-    protocol: ScanProtocol,
-    seed: int | None = None,
-    p: float = 0.5,
+    activity: np.ndarray, protocol: ScanProtocol, seed: int | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Simulate one acquisition and rebin it into two equal-count halves.
 
@@ -256,10 +241,10 @@ def split_scan(
     ss = np.random.SeedSequence(entropy=base, spawn_key=(7,))
     s_counts, s_thin = [int(c.generate_state(1)[0]) for c in ss.spawn(2)]
     counts, scale = simulate_counts(activity, protocol, seed=s_counts)
-    h1, h2 = thin(counts, p, s_thin)
+    h1, h2 = thin(counts, 0.5, s_thin)
     full = _image_from_counts(counts, scale, protocol.psf_sigma)
-    r1 = _image_from_counts(h1, scale * p, protocol.psf_sigma)
-    r2 = _image_from_counts(h2, scale * (1.0 - p), protocol.psf_sigma)
+    r1 = _image_from_counts(h1, scale * 0.5, protocol.psf_sigma)
+    r2 = _image_from_counts(h2, scale * 0.5, protocol.psf_sigma)
     return full, r1, r2
 
 
@@ -336,10 +321,10 @@ class StudyPair:
 
 @dataclass
 class DenoiseDataset:
+    """Train and validation phantoms; ``manifest`` regenerates them."""
+
     train: list[StudyPair]
     val: list[StudyPair]
-    count_levels: tuple[float, ...]
-    protocol: ScanProtocol
     manifest: dict = field(default_factory=dict)
 
     def pairs(self, split: str = "train") -> list[tuple[np.ndarray, np.ndarray]]:
@@ -380,7 +365,7 @@ def build_dataset(
         "n_val": n_val,
         "specs": [s.to_dict() for s in specs],
     }
-    return DenoiseDataset(studies[:split], studies[split:], tuple(count_levels), protocol, manifest)
+    return DenoiseDataset(studies[:split], studies[split:], manifest)
 
 
 def random_phantom_spec(
@@ -447,16 +432,17 @@ def lesion_voxels(spec: PhantomSpec) -> np.ndarray:
     return _voxels(mask, "spec has no lesion voxels")
 
 
-def background_voxels(spec: PhantomSpec, margin: float = 3.0) -> np.ndarray:
-    """[K, 3] indices inside the first (body) ellipse, away from any lesion."""
+def background_voxels(spec: PhantomSpec) -> np.ndarray:
+    """[K, 3] indices inside the first (body) ellipse, BACKGROUND_MARGIN
+    pixels clear of the other ellipses and of any lesion."""
     if not spec.ellipses:
         raise ValueError("spec has no background ellipse")
     ellipse, disk = _shapes(spec)
     mask = ellipse(spec.ellipses[0], shrink=0.8)
     for e in spec.ellipses[1:]:
-        mask &= ~ellipse(e, grow=margin)
+        mask &= ~ellipse(e, grow=BACKGROUND_MARGIN)
     for l in spec.lesions:
-        mask &= ~disk(l, grow=margin)
+        mask &= ~disk(l, grow=BACKGROUND_MARGIN)
     return _voxels(mask, "background region is empty")
 
 
@@ -493,26 +479,25 @@ def save_dataset(dataset: DenoiseDataset, directory) -> None:
 
 def load_dataset(directory) -> DenoiseDataset:
     d = Path(directory)
-    doc = json.loads((d / "dataset.json").read_text())
-    protocol = ScanProtocol.from_dict(doc["protocol"])
+    doc = _read_sidecar(d / "dataset.json", phantom_dirs=list)
     studies = []
     for name in doc["phantom_dirs"]:
-        sub = d / name
-        meta = json.loads((sub / "meta.json").read_text())
-        shape = meta["shape"]
-        truth = _read_f32(sub / meta["files"]["truth"], shape)
-        target = _read_f32(sub / meta["files"]["target"], shape)
-        inputs = {
-            key: _read_f32(sub / meta["files"][key], shape) for key in meta["levels"]
-        }
+        sub = _inside(d, name, "phantom_dirs entry")
+        meta = _read_sidecar(
+            sub / "meta.json", phantom_id=int, shape=list, files=dict, levels=list
+        )
+        files, shape = meta["files"], meta["shape"]
+        truth = _volume(sub, files, "truth", shape)
+        target = _volume(sub, files, "target", shape)
+        inputs = {key: _volume(sub, files, key, shape) for key in meta["levels"]}
         studies.append(StudyPair(meta["phantom_id"], truth, target, inputs))
     n_val = doc.get("n_val", 0)
+    if type(n_val) is not int or not 0 <= n_val <= len(studies):
+        raise DataFileError(f"{d / 'dataset.json'}: bad n_val {n_val!r}")
     split = len(studies) - n_val
     return DenoiseDataset(
         studies[:split],
         studies[split:],
-        tuple(doc["count_levels"]),
-        protocol,
         {k: v for k, v in doc.items() if k != "phantom_dirs"},
     )
 
@@ -539,17 +524,50 @@ def save_study(study: Study, directory) -> None:
 
 def load_study(directory) -> Study:
     d = Path(directory)
-    meta = json.loads((d / "study.json").read_text())
-    truth = _read_f32(d / meta["files"]["truth"], meta["shape"])
-    realizations = {}
-    for key, shape in meta["realization_shapes"].items():
-        realizations[key] = _read_f32(d / meta["files"][key], shape)
-    return Study(
-        truth,
-        realizations,
-        ScanProtocol.from_dict(meta["protocol"]),
-        meta.get("metadata", {}),
+    path = d / "study.json"
+    meta = _read_sidecar(
+        path, shape=list, realization_shapes=dict, files=dict, protocol=dict
     )
+    truth = _volume(d, meta["files"], "truth", meta["shape"])
+    realizations = {
+        key: _volume(d, meta["files"], key, shape)
+        for key, shape in meta["realization_shapes"].items()
+    }
+    try:
+        protocol = ScanProtocol.from_dict(meta["protocol"])
+    except (KeyError, TypeError, ValueError) as e:
+        raise DataFileError(f"{path}: bad protocol: {e!r}") from e
+    return Study(truth, realizations, protocol, meta.get("metadata", {}))
+
+
+def _read_sidecar(path: Path, **kinds: type) -> dict:
+    """A dataset or study JSON sidecar: an object whose ``kinds`` keys hold
+    values of those JSON types. Anything else is a DataFileError."""
+    try:
+        doc = json.loads(path.read_text())
+    except (OSError, ValueError) as e:  # JSON and UTF-8 errors are ValueErrors
+        raise DataFileError(f"{path}: unreadable sidecar: {e}") from e
+    if not isinstance(doc, dict):
+        raise DataFileError(f"{path}: not a JSON object")
+    for key, kind in kinds.items():
+        if type(doc.get(key)) is not kind:
+            raise DataFileError(f"{path}: {key!r} is missing or not a {kind.__name__}")
+    return doc
+
+
+def _volume(directory: Path, files: dict, key, shape) -> np.ndarray:
+    """The volume a sidecar's ``files[key]`` names inside ``directory``."""
+    name = files.get(key) if isinstance(key, str) else None
+    return _read_f32(_inside(directory, name, f"files[{key!r}]"), shape)
+
+
+def _inside(directory: Path, name, what: str) -> Path:
+    """``directory / name`` for a sidecar entry, which must be a bare file
+    or directory name: a stored dataset or study never points outside its
+    own directory."""
+    if not isinstance(name, str) or name in ("", "..") or Path(name).name != name:
+        raise DataFileError(f"{directory}: {what} {name!r} is not a name inside it")
+    return directory / name
 
 
 def _write_json(path, doc: dict) -> None:
@@ -561,7 +579,12 @@ def _write_f32(path, arr: np.ndarray) -> None:
 
 
 def _read_f32(path, shape) -> np.ndarray:
-    raw = Path(path).read_bytes()
+    if type(shape) is not list or not all(type(n) is int and n >= 0 for n in shape):
+        raise DataFileError(f"{path}: bad shape {shape!r}")
+    try:
+        raw = Path(path).read_bytes()
+    except OSError as e:
+        raise DataFileError(f"{path}: unreadable: {e}") from e
     expected = math.prod(shape)
     if len(raw) != 4 * expected:
         raise DataFileError(

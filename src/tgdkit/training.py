@@ -19,12 +19,12 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .kse import KseConfig, kse_scores
-from .masking import MaskedAdam, MaskSet, build_masks, commit_running_stats
+from .masking import MaskedAdam, MaskSet, all_ones_masks, build_masks, commit_running_stats
 from .model import (
     Network,
     NetworkConfig,
@@ -84,21 +84,11 @@ class TrainConfig:
         return DEFAULT_LR[self.mode] if self.learning_rate is None else self.learning_rate
 
     def to_dict(self) -> dict:
+        """Every field, with the effective epochs and learning rate."""
         return {
-            "mode": self.mode,
+            **asdict(self),
             "epochs": self.effective_epochs,
-            "batch_size": self.batch_size,
             "learning_rate": self.effective_lr,
-            "weight_decay": self.weight_decay,
-            "seed": self.seed,
-            "kse_threshold": self.kse_threshold,
-            "last_layer_frozen": self.last_layer_frozen,
-            "kse": {"alpha": self.kse.alpha, "k_neighbors": self.kse.k_neighbors},
-            "network": {
-                "depth": self.network.depth,
-                "channels": self.network.channels,
-                "input_slices": self.network.input_slices,
-            },
         }
 
 
@@ -173,13 +163,12 @@ def _train_loop(
     x: np.ndarray,
     y: np.ndarray,
     config: TrainConfig,
-    masks: MaskSet | None,
+    conv_masks: list[np.ndarray],
 ) -> list[float]:
     """Shared SGD loop; mutates net in place and returns per-epoch losses.
-    A batch whose loss is not finite raises NonFiniteLossError before it
-    changes the network."""
+    Only the channels ``conv_masks`` sets train. A batch whose loss is not
+    finite raises NonFiniteLossError before it changes the network."""
     m = x.shape[0]
-    conv_masks = None if masks is None else masks.conv_masks
     opt = MaskedAdam(net, conv_masks, config.effective_lr, config.weight_decay)
     rng = np.random.default_rng(config.seed)
     losses = []
@@ -195,10 +184,9 @@ def _train_loop(
                 raise NonFiniteLossError(
                     f"loss is {loss} in epoch {len(losses)}: non-finite data or weights"
                 )
-            for i, blk in enumerate(net.blocks):
+            for blk, cache, mask in zip(net.blocks, caches, conv_masks):
                 if blk.bn is not None:
-                    mask = None if conv_masks is None else conv_masks[i]
-                    commit_running_stats(blk.bn, caches[i].bn_stats, mask)
+                    commit_running_stats(blk.bn, cache.bn_stats, mask)
             opt.step(net, backward(net, caches, grad_y))
             epoch_loss += loss * len(idx)
         losses.append(epoch_loss / m)
@@ -227,8 +215,8 @@ def _fit(
 ) -> tuple[Network, TrainRecord, MaskSet | None]:
     """The body of every protocol: train a copy of ``net`` and record the
     run. With a mask ``generation``, only the channels that pass the KSE
-    masks at ``config.kse_threshold`` train, and the freeze contract is
-    checked afterwards; without one, every parameter trains."""
+    masks at ``config.kse_threshold`` train; without one, all of them do (the
+    all-ones masks). The freeze contract is checked afterwards."""
     train_pairs, val_pairs = _resolve_pairs(dataset)
     if not train_pairs:
         raise ValueError("dataset is empty")
@@ -240,13 +228,13 @@ def _fit(
             net, kse_scores(net, config.kse), config.kse_threshold,
             config.last_layer_frozen, generation,
         )
+    conv_masks = all_ones_masks(net) if masks is None else masks.conv_masks
     tuned = net.copy()
     x, y = pairs_to_arrays(train_pairs, tuned.config.input_slices)
     t0 = time.perf_counter()
-    losses = _train_loop(tuned, x, y, config, masks)
+    losses = _train_loop(tuned, x, y, config, conv_masks)
     wall = time.perf_counter() - t0
-    if masks is not None:
-        _assert_frozen_exact(net, tuned, masks)
+    _assert_frozen_exact(net, tuned, conv_masks)
     val = eval_pairs_mse(tuned, val_pairs) if val_pairs else None
     record = TrainRecord(
         config.mode, config.to_dict(), losses, val, wall, network_hash(tuned)
@@ -268,10 +256,10 @@ def train_scratch(
     return net, record
 
 
-def _assert_frozen_exact(before: Network, after: Network, masks: MaskSet) -> None:
+def _assert_frozen_exact(before: Network, after: Network, conv_masks: list) -> None:
     """Hard internal check of the freeze contract after a full run."""
-    for i, (ba, bb) in enumerate(zip(before.blocks, after.blocks)):
-        frozen = masks.conv_masks[i] == 0
+    for i, (ba, bb, mask) in enumerate(zip(before.blocks, after.blocks, conv_masks)):
+        frozen = mask == 0
         for (name, a), (_, b) in zip(block_arrays(ba), block_arrays(bb)):
             if not np.array_equal(a[frozen], b[frozen]):
                 raise RuntimeError(f"frozen {name} moved in block {i}")

@@ -400,6 +400,65 @@ class TestEvaluate:
         ]) == 2
 
 
+def edit_json(path, change):
+    doc = json.loads(path.read_text())
+    change(doc)
+    path.write_text(json.dumps(doc))
+
+
+def study_without_realization_shapes(study):
+    edit_json(study / "study.json", lambda doc: doc.pop("realization_shapes"))
+
+
+def study_not_json(study):
+    (study / "study.json").write_text('{"shape": [3, 16')
+
+
+def study_file_outside(study):
+    # a valid volume, but one directory up from the study
+    shutil.copy(study / "truth.f32", study.parent / "x.f32")
+    edit_json(study / "study.json", lambda doc: doc["files"].update(truth="../x.f32"))
+
+
+def dataset_without_phantom_dirs(dataset):
+    edit_json(dataset / "dataset.json", lambda doc: doc.pop("phantom_dirs"))
+
+
+def dataset_dir_outside(dataset):
+    shutil.copytree(dataset / "phantom_000", dataset.parent / "p0")
+    edit_json(dataset / "dataset.json", lambda doc: doc["phantom_dirs"].__setitem__(0, "../p0"))
+
+
+SIDECAR_DAMAGE = {
+    f.__name__: f
+    for f in (
+        study_without_realization_shapes, study_not_json, study_file_outside,
+        dataset_without_phantom_dirs, dataset_dir_outside,
+    )
+}
+
+
+class TestMalformedSidecars:
+    @pytest.mark.parametrize("damage", sorted(SIDECAR_DAMAGE))
+    def test_is_data_error_and_writes_nothing(self, workspace, tmp_path, capsys, damage):
+        root = tmp_path / "in"
+        if damage.startswith("study"):
+            target = root / "probe"
+            shutil.copytree(workspace / "data" / "studies" / "probe", target)
+            argv = ["evaluate", str(workspace / "base" / "weights.tgdw"), str(target)]
+        else:
+            target = root / "dataset"
+            shutil.copytree(workspace / "data" / "dataset", target)
+            cfg = json.loads((workspace / "train.json").read_text())
+            cfg["dataset"] = str(target)
+            (tmp_path / "t.json").write_text(json.dumps(cfg))
+            argv = ["train", str(tmp_path / "t.json")]
+        SIDECAR_DAMAGE[damage](target)
+        assert main([*argv, "--out", str(tmp_path / "o")]) == 3
+        assert "data error" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+
 class TestManifestReplay:
     def test_manifest_config_reproduces_run(self, workspace, tmp_path):
         manifest = json.loads((workspace / "base" / "manifest.json").read_text())

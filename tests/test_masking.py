@@ -292,7 +292,7 @@ class TestRemask:
 class TestMaskSetValidation:
     def test_non_binary_mask_rejected(self):
         with pytest.raises(ValueError, match="0 or 1"):
-            MaskSet([np.array([0, 2], np.uint8)], [None], 0.3, "x")
+            MaskSet([np.array([0, 2], np.uint8)], 0.3, "x")
 
 
 class TestForwardNeutrality:

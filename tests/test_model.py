@@ -4,6 +4,9 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from tgdkit.model import (
     BadMagicError,
@@ -274,6 +277,47 @@ class TestWeightFile:
         p.write_bytes(CORRUPTIONS[damage](saved_3x4(p)))
         with pytest.raises(WeightFileError):
             load_weights(p)
+
+    @settings(
+        max_examples=40, deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        depth=st.integers(3, 4),
+        channels=st.integers(1, 3),
+        slices=st.sampled_from([1, 3, 5]),
+        tag=st.text(max_size=12),
+        data=st.data(),
+    )
+    def test_round_trip_bit_exact_for_any_values(
+        self, tmp_path, depth, channels, slices, tag, data
+    ):
+        net = build_network(NetworkConfig(depth, channels, slices), seed=0, version_tag=tag)
+        finite = st.floats(width=32, allow_nan=False, allow_infinity=False)
+        for _, a in _param_arrays(net):
+            a[...] = data.draw(hnp.arrays(np.float32, a.shape, elements=finite))
+        p = tmp_path / "net.tgdw"
+        save_weights(net, p)
+        loaded = load_weights(p)
+        assert (loaded.config, loaded.version_tag) == (net.config, tag)
+        for (name, a), (_, b) in zip(_param_arrays(net), _param_arrays(loaded)):
+            assert a.tobytes() == b.tobytes(), name
+
+    @settings(
+        max_examples=400, deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(data=st.data())
+    def test_any_single_byte_change_loads_or_is_weight_file_error(self, tmp_path, data):
+        raw = bytearray(saved_3x4(tmp_path / "net.tgdw"))
+        offset = data.draw(st.integers(0, len(raw) - 1), label="offset")
+        raw[offset] = data.draw(st.integers(0, 255).filter(lambda v: v != raw[offset]))
+        p = tmp_path / "changed.tgdw"
+        p.write_bytes(bytes(raw))
+        try:
+            load_weights(p)
+        except WeightFileError:
+            pass
 
     @pytest.mark.parametrize("depth,channels,slices", [(3, 1, 1), (4, 5, 3), (6, 2, 5)])
     def test_array_table_is_what_a_built_network_persists(self, depth, channels, slices):

@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from tgdkit.masking import commit_running_stats
 from tgdkit.ops import (
     BatchNormParams,
     ConvParams,
@@ -144,6 +147,69 @@ class TestConvBackward:
             conv_grads(x, params, np.zeros((1, 2, 5, 4)))
 
 
+conv_cases = given(
+    seed=st.integers(0, 2**32 - 1),
+    b=st.integers(1, 3),
+    c=st.integers(1, 4),
+    n=st.integers(1, 4),
+    h=st.integers(1, 6),
+    w=st.integers(1, 6),
+)
+
+
+def assert_close(a, b, scale):
+    """Equal up to float64 rounding of sums whose terms have magnitude ``scale``."""
+    np.testing.assert_allclose(a, b, rtol=0, atol=1e-12 * (1.0 + np.max(scale)))
+
+
+class TestConvProperties:
+    """float64 properties over random shapes: the conv is bilinear in
+    (x, W), and conv2d_backward is its adjoint in each argument."""
+
+    @settings(max_examples=60, deadline=None)
+    @conv_cases
+    def test_linear_in_input(self, seed, b, c, n, h, w):
+        rng = np.random.default_rng(seed)
+        params = rand_conv(rng, n, c, bias=False)
+        x1, x2 = rng.standard_normal((2, b, c, h, w))
+        alpha, beta = rng.standard_normal(2)
+        y1, y2 = conv2d_forward(x1, params)[0], conv2d_forward(x2, params)[0]
+        y = conv2d_forward(alpha * x1 + beta * x2, params)[0]
+        scale = abs(alpha) * np.abs(y1).max() + abs(beta) * np.abs(y2).max()
+        assert_close(y, alpha * y1 + beta * y2, 9 * c * scale)
+
+    @settings(max_examples=60, deadline=None)
+    @conv_cases
+    def test_linear_in_weights(self, seed, b, c, n, h, w):
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((b, c, h, w))
+        w1, w2 = (rand_conv(rng, n, c, bias=False).weights for _ in range(2))
+        alpha, beta = rng.standard_normal(2)
+        y1 = conv2d_forward(x, ConvParams(w1))[0]
+        y2 = conv2d_forward(x, ConvParams(w2))[0]
+        y = conv2d_forward(x, ConvParams(alpha * w1 + beta * w2))[0]
+        scale = abs(alpha) * np.abs(y1).max() + abs(beta) * np.abs(y2).max()
+        assert_close(y, alpha * y1 + beta * y2, 9 * c * scale)
+
+    @settings(max_examples=60, deadline=None)
+    @conv_cases
+    def test_backward_is_adjoint(self, seed, b, c, n, h, w):
+        # <conv(x, W) + bias, g> = <x, grad_x> + <bias, grad_b>
+        #                        = <W, grad_w> + <bias, grad_b>
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((b, c, h, w))
+        params = rand_conv(rng, n, c)
+        g = rng.standard_normal((b, n, h, w))
+        y, _ = conv2d_forward(x, params)
+        gx, gw, gb = conv_grads(x, params, g)
+        bias_term = float(params.bias @ gb)
+        scale = 9 * c * (np.abs(x).max() * np.abs(params.weights).max() + 1) * np.abs(g).sum()
+        assert_close(float((y * g).sum()), float((x * gx).sum()) + bias_term, scale)
+        assert_close(
+            float((y * g).sum()), float((params.weights * gw).sum()) + bias_term, scale
+        )
+
+
 def make_bn(c, dtype=np.float64, gamma=None, beta=None):
     return BatchNormParams(
         gamma=np.ones(c, dtype) if gamma is None else np.asarray(gamma, dtype),
@@ -182,14 +248,24 @@ class TestBatchNormForward:
         np.testing.assert_allclose(y, ref, atol=1e-6)
 
     def test_ema_update_returned_not_applied(self):
+        # the forward leaves the running stats alone; the one EMA step
+        # happens in commit_running_stats
         rng = np.random.default_rng(8)
         x = rng.standard_normal((2, 2, 4, 4))
         params = make_bn(2)
-        before_mean = params.running_mean.copy()
+        params.running_mean[:] = rng.standard_normal(2)
+        params.running_var[:] = rng.uniform(0.5, 2.0, 2)
+        old_mean, old_var = params.running_mean.copy(), params.running_var.copy()
         _, stats = batchnorm_forward(x, params, "train")
-        np.testing.assert_array_equal(params.running_mean, before_mean)
-        expected = 0.9 * before_mean + 0.1 * stats.mean
-        np.testing.assert_allclose(stats.new_running_mean, expected, rtol=1e-12)
+        np.testing.assert_array_equal(params.running_mean, old_mean)
+        np.testing.assert_array_equal(params.running_var, old_var)
+        commit_running_stats(params, stats, np.ones(2, np.uint8))
+        np.testing.assert_allclose(
+            params.running_mean, 0.9 * old_mean + 0.1 * stats.mean, rtol=1e-12
+        )
+        np.testing.assert_allclose(
+            params.running_var, 0.9 * old_var + 0.1 * stats.var, rtol=1e-12
+        )
 
     def test_tiny_batch_rejected(self):
         with pytest.raises(ValueError, match="samples"):

@@ -1,0 +1,174 @@
+"""Print one JSON object of hashes that pins tgdkit's outputs at fixed seeds.
+
+Run it at two commits and diff the output; any difference is a change in
+what tgdkit computes or writes:
+
+    PYTHONPATH=src python tools/parity.py > parity.json
+
+It covers the four training protocols (scratch, a warm start, TGD
+fine-tuning, online N2N) on a 5x16 net at weight decay 1e-5 and 0, with
+their network hashes, validation MSEs, records, masks and KSE reports, and
+every file the README's CLI flow writes (gen-data -> train -> kse-report ->
+tgd-finetune -> n2n -> prune-eval -> evaluate). Manifests are hashed
+without their timestamps and wall times, and with the temporary working
+directory replaced by a fixed name. The gen-data configs set every optional
+key in one run and none in the other, including a test study that sets
+none of its own keys and a ``phantoms.n_lesions`` it must not inherit.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+from tgdkit import cli
+from tgdkit.kse import KseConfig, kse_scores
+from tgdkit.model import NetworkConfig, network_hash
+from tgdkit.phantom import ScanProtocol, build_dataset, make_study, random_phantom_spec
+from tgdkit.training import TrainConfig, finetune_tgd, online_n2n, train_scratch
+
+NET = NetworkConfig(depth=5, channels=16, input_slices=3)
+CLI_NET = {"depth": 4, "channels": 8, "input_slices": 3}
+VOLATILE = ("created_utc", "wall_time_s")
+
+
+def sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def protocols() -> dict:
+    """The four protocols through the Python API, at two weight decays."""
+    rng = np.random.default_rng(3)
+    specs = [random_phantom_spec(rng, 24, 24, slices=3) for _ in range(3)]
+    dataset = build_dataset(specs, ScanProtocol(1.5, 2e5, seed=4), (0.1, 0.3), n_val=1)
+    study = make_study(
+        random_phantom_spec(rng, 24, 24, slices=3), ScanProtocol(1.5, 2e5, seed=5),
+        n2n_split=True,
+    )
+    halves = study.realizations["n2n"]
+    out = {}
+    for wd in (1e-5, 0.0):
+        common = dict(weight_decay=wd, batch_size=4, network=NET, seed=1)
+        base, rec = train_scratch(TrainConfig(mode="scratch", epochs=10, **common), dataset)
+        warm, warm_rec = train_scratch(
+            TrainConfig(mode="scratch", epochs=2, learning_rate=5e-4, **common),
+            dataset, initial=base,
+        )
+        masked = dict(kse_threshold=0.5, kse=KseConfig(alpha=0.5, k_neighbors=3), **common)
+        tuned, tgd_rec, masks = finetune_tgd(
+            base, TrainConfig(mode="tgd_finetune", epochs=4, **masked), dataset
+        )
+        n2n, n2n_rec = online_n2n(
+            base, TrainConfig(mode="n2n_online", epochs=4, **masked), halves[0], halves[1]
+        )
+        runs = {"scratch": (base, rec), "warm": (warm, warm_rec),
+                "tgd": (tuned, tgd_rec), "n2n": (n2n, n2n_rec)}
+        for name, (net, record) in runs.items():
+            key = f"wd={wd:g}/{name}"
+            out[f"{key}/network_hash"] = network_hash(net)
+            out[f"{key}/val_mse"] = record.val_mse
+            out[f"{key}/record.jsonl"] = sha(record.to_jsonl().encode())
+        out[f"wd={wd:g}/tgd/masks.json"] = sha(masks.to_json().encode())
+        out[f"wd={wd:g}/tgd/retrained_fraction"] = masks.retrained_fraction()
+        out[f"wd={wd:g}/scratch/kse_report.json"] = sha(kse_scores(base).to_json().encode())
+    return out
+
+
+def gen_configs() -> dict[str, dict]:
+    """Two gen-data configs: one sets every optional key, one sets none."""
+    common = {
+        "seed": 7,
+        "image": {"height": 32, "width": 32, "slices": 5},
+        "protocol": {"psf_sigma": 1.5, "count_budget": 200000},
+    }
+    return {
+        "full": {
+            **common,
+            "phantoms": {"n_train": 3, "n_val": 1, "n_lesions": 1,
+                         "lesion_radius": 2.5, "lesion_contrast": 3.0},
+            "count_levels": [0.1, 0.3],
+            "test_studies": [
+                {"name": "probe", "n_realizations": 3, "count_levels": [1.0],
+                 "n2n_split": True, "n_lesions": 3,
+                 "ood_lesion": {"center": [8.0, 22.0], "radius": 4.5, "contrast": 4.0}},
+                {"name": "plain"},
+            ],
+        },
+        "minimal": {
+            **common,
+            "phantoms": {"n_train": 2},
+            "test_studies": [{"name": "probe", "n2n_split": True, "n_realizations": 2}],
+        },
+    }
+
+
+def run_cli(argv: list[str]) -> None:
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(argv)
+    if code != 0:
+        raise SystemExit(f"tgdkit {' '.join(argv)} exited {code}")
+
+
+def hash_tree(root: Path, work: Path) -> dict:
+    """sha256 of every file under ``root``, keyed by its path below ``work``."""
+    out = {}
+    for path in sorted(p for p in root.rglob("*") if p.is_file()):
+        data = path.read_bytes()
+        if path.name == "manifest.json":
+            doc = json.loads(data)
+            for key in VOLATILE:
+                doc.pop(key, None)
+            data = json.dumps(doc, sort_keys=True).replace(str(work), "<work>").encode()
+        out[str(path.relative_to(work))] = sha(data)
+    return out
+
+
+def cli_flow(work: Path) -> dict:
+    """The README's CLI flow, run in ``work`` for each gen-data config."""
+    out = {}
+    for name, gen in gen_configs().items():
+        d = work / name
+        d.mkdir()
+        (d / "gen.json").write_text(json.dumps(gen))
+        run_cli(["gen-data", str(d / "gen.json"), "--out", str(d / "data")])
+        train = {"dataset": str(d / "data" / "dataset"), "seed": 0, "epochs": 3,
+                 "batch_size": 8, "network": CLI_NET}
+        (d / "train.json").write_text(json.dumps(train))
+        run_cli(["train", str(d / "train.json"), "--out", str(d / "v1")])
+        weights = str(d / "v1" / "weights.tgdw")
+        run_cli(["kse-report", weights, "--out", str(d / "kse")])
+        ft = {**train, "weights": weights, "epochs": 1}
+        (d / "ft.json").write_text(json.dumps(ft))
+        run_cli(["tgd-finetune", str(d / "ft.json"), "--phi", "0.5",
+                 "--freeze-last-layer", "--out", str(d / "tgd")])
+        probe = str(d / "data" / "studies" / "probe")
+        n2n = {"study": probe, "weights": weights, "seed": 0, "batch_size": 8,
+               "phi": 0.5, "network": CLI_NET}
+        (d / "n2n.json").write_text(json.dumps(n2n))
+        run_cli(["n2n", str(d / "n2n.json"), "--epochs", "2", "--out", str(d / "n2n")])
+        run_cli(["prune-eval", weights, probe, "--out", str(d / "prune")])
+        run_cli(["evaluate", str(d / "tgd" / "weights.tgdw"), probe, "--out", str(d / "eval")])
+        for run in ("data", "v1", "kse", "tgd", "n2n", "prune", "eval"):
+            out.update(hash_tree(d / run, work))
+    return out
+
+
+def main() -> int:
+    result = protocols()
+    with tempfile.TemporaryDirectory(prefix="tgdkit-parity-") as tmp:
+        result.update(cli_flow(Path(os.path.realpath(tmp))))
+    json.dump(result, sys.stdout, indent=1, sort_keys=True)
+    sys.stdout.write("\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
