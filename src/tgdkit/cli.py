@@ -225,7 +225,7 @@ def _study_at_level(args):
     """The command line's study and count level: ``--level``, else the
     study's highest count level. The n2n halves and the "full" scan they
     were split from are not count levels; a study without level metadata
-    falls back to its largest realization key."""
+    falls back to its numerically largest realization key."""
     study_dir = Path(args.study)
     if not (study_dir / "study.json").exists():
         raise DataError(f"study not found at {study_dir}")
@@ -234,12 +234,25 @@ def _study_at_level(args):
     if not level:
         levels = study.metadata.get("levels")
         if levels:
-            level = max(levels, key=lambda k: levels[k]["fraction"])
+            try:
+                level = max(levels, key=lambda k: float(levels[k]["fraction"]))
+            except (KeyError, TypeError, ValueError) as e:
+                raise DataFileError(
+                    f"{study_dir / 'study.json'}: bad metadata.levels: {e!r}"
+                ) from e
         else:
-            level = max(study.realizations)
+            level = max(filter(_is_number, study.realizations), key=float, default=None)
     if level not in study.realizations:
         raise DataError(f"study has no count level {level!r}")
     return study_dir, study, level
+
+
+def _is_number(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
 
 
 # ---------------------------------------------------------------- gen-data

@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .model import Network, denoise_volume
+from .phantom import DataFileError, _read_sidecar
 
 ROI_KINDS = ("lesion", "background")
 
@@ -50,11 +51,14 @@ def save_rois(rois: dict[str, Roi], path) -> None:
 
 
 def load_rois(path) -> dict[str, Roi]:
-    doc = json.loads(Path(path).read_text())
+    """The ROIs a ``save_rois`` file names; a malformed file is a DataFileError."""
     out = {}
-    for name, voxels in doc.items():
+    for name, voxels in _read_sidecar(Path(path)).items():
         kind = "lesion" if "lesion" in name else "background"
-        out[name] = Roi(kind, np.asarray(voxels))
+        try:
+            out[name] = Roi(kind, np.asarray(voxels))
+        except (TypeError, ValueError) as e:
+            raise DataFileError(f"{path}: roi {name!r}: {e}") from e
     return out
 
 

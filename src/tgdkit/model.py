@@ -22,10 +22,12 @@ from .ops import (
     BatchNormParams,
     BnStats,
     ConvParams,
+    ConvWorkspace,
     batchnorm_backward,
     batchnorm_forward,
     conv2d_backward,
     conv2d_forward,
+    conv2d_grad_input,
     relu_backward,
     relu_forward,
 )
@@ -157,7 +159,7 @@ def num_parameters(net: Network) -> int:
 
 @dataclass
 class BlockCache:
-    cols: np.ndarray  # input patch matrix, reused by the backward pass
+    x: np.ndarray  # conv input; the backward pass rebuilds its patch matrix
     conv_out: np.ndarray
     bn_stats: BnStats | None
     relu_in: np.ndarray | None
@@ -172,12 +174,14 @@ def _check_input(net: Network, x: np.ndarray) -> None:
         raise ValueError(f"spatial size must be >= 3x3, got {x.shape[2:]} ")
 
 
-def _run(net: Network, x: np.ndarray, mode: str, want_cache: bool):
+def _run(
+    net: Network, x: np.ndarray, mode: str, ws: ConvWorkspace | None, want_cache: bool
+):
     center = net.config.input_slices // 2
     h = x
     caches: list[BlockCache] = []
     for block in net.blocks:
-        conv_out, cols = conv2d_forward(h, block.conv)
+        conv_out = conv2d_forward(h, block.conv, ws)
         bn_stats = None
         out = conv_out
         if block.bn is not None:
@@ -186,7 +190,7 @@ def _run(net: Network, x: np.ndarray, mode: str, want_cache: bool):
         if block.relu:
             out = relu_forward(out)
         if want_cache:
-            caches.append(BlockCache(cols, conv_out, bn_stats, relu_in))
+            caches.append(BlockCache(h, conv_out, bn_stats, relu_in))
         h = out
     y = h + x[:, center : center + 1]
     return y, caches
@@ -197,18 +201,25 @@ def forward(net: Network, x: np.ndarray, mode: str = "infer") -> np.ndarray:
 
     The residual head adds the center input slice to the last conv output.
     Train mode normalizes by batch statistics (running stats are never
-    mutated here); infer mode uses the stored running statistics.
+    mutated here); infer mode uses the stored running statistics. The
+    layers share one conv workspace for the call.
     """
     _check_input(net, x)
-    y, _ = _run(net, x, mode, want_cache=False)
+    y, _ = _run(net, x, mode, ConvWorkspace(), want_cache=False)
     return y
 
 
-def forward_train(net: Network, x: np.ndarray) -> tuple[np.ndarray, list[BlockCache]]:
+def forward_train(
+    net: Network, x: np.ndarray, ws: ConvWorkspace | None = None
+) -> tuple[np.ndarray, list[BlockCache]]:
     """Train-mode forward that also returns the per-block caches
-    :func:`backward` needs (inputs, pre-activations, batch statistics)."""
+    :func:`backward` needs (inputs, pre-activations, batch statistics).
+
+    ``ws`` is the conv workspace a training run reuses across its steps;
+    None gives each conv call fresh buffers.
+    """
     _check_input(net, x)
-    return _run(net, x, "train", want_cache=True)
+    return _run(net, x, "train", ws, want_cache=True)
 
 
 @dataclass
@@ -223,11 +234,18 @@ class BlockGrads:
         return [g for g in (self.weights, self.bias, self.gamma, self.beta) if g is not None]
 
 
-def backward(net: Network, caches: list[BlockCache], grad_y: np.ndarray) -> list[BlockGrads]:
+def backward(
+    net: Network,
+    caches: list[BlockCache],
+    grad_y: np.ndarray,
+    ws: ConvWorkspace | None = None,
+) -> list[BlockGrads]:
     """Backprop grad_y (d loss / d output) through a cached train-mode forward.
 
     Returns per-block parameter gradients; the residual branch contributes
-    nothing to any parameter so it is simply dropped.
+    nothing to any parameter so it is simply dropped, and neither does the
+    gradient wrt the network input, so it is never computed. ``ws`` is as
+    in :func:`forward_train`.
     """
     if len(caches) != len(net.blocks):
         raise ValueError("cache/block count mismatch; run forward with want_cache=True")
@@ -242,8 +260,10 @@ def backward(net: Network, caches: list[BlockCache], grad_y: np.ndarray) -> list
             g, g_gamma, g_beta = batchnorm_backward(
                 cache.conv_out, block.bn, cache.bn_stats, g
             )
-        g, g_w, g_b = conv2d_backward(cache.cols, block.conv, g)
+        g_w, g_b = conv2d_backward(cache.x, block.conv, g, ws)
         grads[i] = BlockGrads(g_w, g_b, g_gamma, g_beta)
+        if i > 0:
+            g = conv2d_grad_input(block.conv, g, ws)
     return grads
 
 

@@ -1,7 +1,8 @@
 """Dense-tensor layer ops with hand-written forward and backward passes.
 
 Everything here is a pure function over numpy arrays: no op mutates its
-inputs, and identical inputs give bit-identical outputs. Arrays are NCHW,
+inputs, and identical inputs give bit-identical outputs. The conv ops write
+only into the scratch buffers of a ConvWorkspace. Arrays are NCHW,
 kernels are fixed at 3x3 with zero padding 1 so spatial size is preserved.
 Compute dtype follows the input dtype (float32 for training, float64 for
 gradient checks).
@@ -9,6 +10,7 @@ gradient checks).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -90,28 +92,61 @@ class BnStats:
     var: np.ndarray
 
 
-def _im2col(x: np.ndarray) -> np.ndarray:
-    """[B, C, H, W] -> [B, C*9, H*W] patch matrix for a padded 3x3 window.
+class ConvWorkspace:
+    """Scratch memory the conv ops reuse for the zero-padded input and the
+    patch matrix, so same-shaped layers and steps allocate them once.
+
+    Each role keeps one flat byte buffer that grows to the largest request
+    and is handed out as a C-contiguous view of the requested shape and
+    dtype. A view is valid until the next request for its role. The owner
+    (a training run, or one ``model.forward`` call) passes the workspace
+    down; it holds no result, so the ops stay pure functions of their
+    arguments.
+    """
+
+    def __init__(self):
+        self._buffers: dict[str, np.ndarray] = {}
+
+    def view(self, role: str, shape: tuple[int, ...], dtype) -> np.ndarray:
+        dtype = np.dtype(dtype)
+        nbytes = math.prod(shape) * dtype.itemsize
+        buf = self._buffers.get(role)
+        if buf is None or buf.nbytes < nbytes:
+            buf = self._buffers[role] = np.empty(nbytes, dtype=np.uint8)
+        return buf[:nbytes].view(dtype).reshape(shape)
+
+
+def _im2col(x: np.ndarray, ws: ConvWorkspace | None) -> np.ndarray:
+    """[B, C, H, W] -> [B, C*9, H*W] patch matrix for a padded 3x3 window,
+    built in ``ws`` (a fresh workspace when None).
 
     Row c*9 + (i*3 + j) holds channel c shifted by kernel tap (i, j), so a
-    single GEMM against the [N, C*9] weight matrix computes the layer.
+    single GEMM against the [N, C*9] weight matrix computes the layer. The
+    taps fill a [B, C, 3, 3, H, W] buffer, whose reshape is a view.
     """
+    if ws is None:
+        ws = ConvWorkspace()
     b, c, h, w = x.shape
-    xp = np.pad(x, ((0, 0), (0, 0), (PAD, PAD), (PAD, PAD)))
-    cols = np.empty((b, c * 9, h * w), dtype=x.dtype)
+    xp = ws.view("padded", (b, c, h + 2 * PAD, w + 2 * PAD), x.dtype)
+    xp[:, :, :PAD] = 0
+    xp[:, :, -PAD:] = 0
+    xp[:, :, PAD:-PAD, :PAD] = 0
+    xp[:, :, PAD:-PAD, -PAD:] = 0
+    xp[:, :, PAD:-PAD, PAD:-PAD] = x
+    cols = ws.view("cols", (b, c, KERNEL_SIZE, KERNEL_SIZE, h, w), x.dtype)
     for i in range(KERNEL_SIZE):
         for j in range(KERNEL_SIZE):
-            cols[:, (i * KERNEL_SIZE + j) :: 9, :] = xp[
-                :, :, i : i + h, j : j + w
-            ].reshape(b, c, h * w)
-    return cols
+            cols[:, :, i, j] = xp[:, :, i : i + h, j : j + w]
+    return cols.reshape(b, c * KERNEL_SIZE * KERNEL_SIZE, h * w)
 
 
-def conv2d_forward(x: np.ndarray, params: ConvParams) -> tuple[np.ndarray, np.ndarray]:
+def conv2d_forward(
+    x: np.ndarray, params: ConvParams, ws: ConvWorkspace | None = None
+) -> np.ndarray:
     """Cross-correlate [B, C, H, W] with params, zero padding 1, stride 1.
 
-    Returns the [B, N, H, W] output (bias added per output channel when
-    present) and the input's patch matrix, which conv2d_backward takes.
+    Returns the [B, N, H, W] output, bias added per output channel when
+    present. ``ws`` holds the patch matrix while the GEMM runs.
     """
     if x.ndim != 4:
         raise ValueError(f"conv input must be [B, C, H, W], got shape {x.shape}")
@@ -122,41 +157,51 @@ def conv2d_forward(x: np.ndarray, params: ConvParams) -> tuple[np.ndarray, np.nd
         )
     b, _, h, w = x.shape
     n = params.out_channels
-    cols = _im2col(x)
+    cols = _im2col(x, ws)
     wmat = params.weights.reshape(n, -1).astype(x.dtype, copy=False)
     y = np.matmul(wmat, cols)  # [B, N, H*W]
     if params.bias is not None:
         y += params.bias.astype(x.dtype, copy=False)[:, None]
-    return y.reshape(b, n, h, w), cols
+    return y.reshape(b, n, h, w)
 
 
 def conv2d_backward(
-    cols: np.ndarray, params: ConvParams, grad_out: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """Gradients of conv2d_forward from its patch matrix ``cols``:
-    (grad_input, grad_weights, grad_bias).
+    x: np.ndarray,
+    params: ConvParams,
+    grad_out: np.ndarray,
+    ws: ConvWorkspace | None = None,
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Parameter gradients of conv2d_forward on input x: (grad_weights,
+    grad_bias). The input's patch matrix is rebuilt in ``ws``.
 
-    grad_bias is None when the layer has no bias.
+    grad_bias is None when the layer has no bias. The input gradient is
+    :func:`conv2d_grad_input`, which needs no x.
     """
     b, n, h, w = grad_out.shape
     c = params.in_channels
-    if cols.shape != (b, c * 9, h * w) or n != params.out_channels:
+    if x.shape != (b, c, h, w) or n != params.out_channels:
         raise ValueError(
-            f"grad_out shape {grad_out.shape} does not fit patch matrix "
-            f"{cols.shape} and weights {params.weights.shape}"
+            f"grad_out shape {grad_out.shape} does not fit input {x.shape} "
+            f"and weights {params.weights.shape}"
         )
+    cols = _im2col(x, ws)
     gmat = grad_out.reshape(b, n, h * w)
     grad_w = np.matmul(gmat, cols.transpose(0, 2, 1)).sum(axis=0)
     grad_w = grad_w.reshape(n, c, KERNEL_SIZE, KERNEL_SIZE)
     grad_b = grad_out.sum(axis=(0, 2, 3)) if params.bias is not None else None
+    return grad_w, grad_b
 
-    # grad wrt input = correlation of grad_out with the 180-degree-rotated
-    # kernels, with output/input channel roles swapped.
+
+def conv2d_grad_input(
+    params: ConvParams, grad_out: np.ndarray, ws: ConvWorkspace | None = None
+) -> np.ndarray:
+    """Gradient of conv2d_forward wrt its input: the correlation of grad_out
+    with the 180-degree-rotated kernels, output and input channel roles
+    swapped."""
     w_flip = np.ascontiguousarray(
         params.weights[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
     )
-    grad_x, _ = conv2d_forward(grad_out, ConvParams(w_flip))
-    return grad_x, grad_w, grad_b
+    return conv2d_forward(grad_out, ConvParams(w_flip), ws)
 
 
 def batchnorm_forward(

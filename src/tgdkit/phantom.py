@@ -537,7 +537,10 @@ def load_study(directory) -> Study:
         protocol = ScanProtocol.from_dict(meta["protocol"])
     except (KeyError, TypeError, ValueError) as e:
         raise DataFileError(f"{path}: bad protocol: {e!r}") from e
-    return Study(truth, realizations, protocol, meta.get("metadata", {}))
+    metadata = meta.get("metadata", {})
+    if type(metadata) is not dict:
+        raise DataFileError(f"{path}: 'metadata' is not a dict")
+    return Study(truth, realizations, protocol, metadata)
 
 
 def _read_sidecar(path: Path, **kinds: type) -> dict:

@@ -36,6 +36,7 @@ from .model import (
     network_hash,
     volume_to_samples,
 )
+from .ops import ConvWorkspace
 
 MODES = ("scratch", "tgd_finetune", "n2n_online")
 DEFAULT_EPOCHS = {"scratch": 500, "tgd_finetune": 500, "n2n_online": 150}
@@ -171,6 +172,7 @@ def _train_loop(
     m = x.shape[0]
     opt = MaskedAdam(net, conv_masks, config.effective_lr, config.weight_decay)
     rng = np.random.default_rng(config.seed)
+    ws = ConvWorkspace()
     losses = []
     for _ in range(config.effective_epochs):
         perm = rng.permutation(m)
@@ -178,7 +180,7 @@ def _train_loop(
         for start in range(0, m, config.batch_size):
             idx = perm[start : start + config.batch_size]
             xb, yb = x[idx], y[idx]
-            pred, caches = forward_train(net, xb)
+            pred, caches = forward_train(net, xb, ws)
             loss, grad_y = mse_loss(pred, yb)
             if not math.isfinite(loss):
                 raise NonFiniteLossError(
@@ -187,7 +189,7 @@ def _train_loop(
             for blk, cache, mask in zip(net.blocks, caches, conv_masks):
                 if blk.bn is not None:
                     commit_running_stats(blk.bn, cache.bn_stats, mask)
-            opt.step(net, backward(net, caches, grad_y))
+            opt.step(net, backward(net, caches, grad_y, ws))
             epoch_loss += loss * len(idx)
         losses.append(epoch_loss / m)
     return losses

@@ -420,6 +420,25 @@ def study_file_outside(study):
     edit_json(study / "study.json", lambda doc: doc["files"].update(truth="../x.f32"))
 
 
+def study_level_without_fraction(study):
+    edit_json(
+        study / "study.json",
+        lambda doc: next(iter(doc["metadata"]["levels"].values())).pop("fraction"),
+    )
+
+
+def study_metadata_list(study):
+    edit_json(study / "study.json", lambda doc: doc.update(metadata=[doc["metadata"]]))
+
+
+def study_rois_list(study):
+    (study / "rois.json").write_text(json.dumps([[[0, 0, 0]]]))
+
+
+def study_roi_entry_short(study):
+    edit_json(study / "rois.json", lambda doc: doc.update(lesion=[[0, 0]]))
+
+
 def dataset_without_phantom_dirs(dataset):
     edit_json(dataset / "dataset.json", lambda doc: doc.pop("phantom_dirs"))
 
@@ -433,7 +452,8 @@ SIDECAR_DAMAGE = {
     f.__name__: f
     for f in (
         study_without_realization_shapes, study_not_json, study_file_outside,
-        dataset_without_phantom_dirs, dataset_dir_outside,
+        study_level_without_fraction, study_metadata_list, study_rois_list,
+        study_roi_entry_short, dataset_without_phantom_dirs, dataset_dir_outside,
     )
 }
 
@@ -457,6 +477,24 @@ class TestMalformedSidecars:
         assert main([*argv, "--out", str(tmp_path / "o")]) == 3
         assert "data error" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+
+class TestDefaultLevel:
+    def test_study_without_level_metadata_picks_highest_numeric_level(
+        self, workspace, tmp_path
+    ):
+        # the probe study holds count level "1" beside the "n2n" halves and
+        # the "full" scan; a string max over the keys would pick "n2n"
+        study = tmp_path / "probe"
+        shutil.copytree(workspace / "data" / "studies" / "probe", study)
+        edit_json(study / "study.json", lambda doc: doc["metadata"].pop("levels"))
+        assert main([
+            "evaluate", str(workspace / "base" / "weights.tgdw"), str(study),
+            "--out", str(tmp_path / "o"),
+        ]) == 0
+        rep = strict_json((tmp_path / "o" / "metrics.json").read_text())
+        assert rep["level"] == "1"
+        assert rep["n_realizations"] == 3
 
 
 class TestManifestReplay:

@@ -1,5 +1,6 @@
 """Network construction, forward semantics, and weight-file round trips."""
 
+import dataclasses
 import struct
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from tgdkit import model
 from tgdkit.model import (
     BadMagicError,
     NetworkConfig,
@@ -126,7 +128,7 @@ class TestForward:
 
         h = x
         for b in net.blocks:
-            h, _ = conv2d_forward(h, b.conv)
+            h = conv2d_forward(h, b.conv)
             if b.bn is not None:
                 h, _ = batchnorm_forward(h, b.bn, "infer")
             if b.relu:
@@ -198,6 +200,40 @@ class TestBackward:
 
         fd_g = central_difference(loss_of_gamma, g1)
         assert rel_err(grads[1].gamma, fd_g, floor=1e-4).max() < 1e-4
+
+
+    def test_train_caches_hold_no_patch_matrix(self):
+        # the backward pass rebuilds each conv's patch matrix from the cached
+        # input, so nothing cached is wider than one activation
+        rng = np.random.default_rng(6)
+        net = build_network(NetworkConfig(depth=5, channels=16), seed=3)
+        x = rng.standard_normal((8, 3, 24, 24)).astype(np.float32)
+        _, caches = forward_train(net, x)
+        activation = 8 * 16 * 24 * 24
+        for i, cache in enumerate(caches):
+            for field in dataclasses.fields(cache):
+                value = getattr(cache, field.name)
+                if dataclasses.is_dataclass(value):
+                    arrays = dataclasses.asdict(value).values()
+                else:
+                    arrays = [] if value is None else [value]
+                for a in arrays:
+                    assert a.size <= activation, (i, field.name, a.shape)
+
+    def test_input_gradient_of_first_block_is_not_computed(self, monkeypatch):
+        calls = []
+        grad_input = model.conv2d_grad_input
+
+        def counted(params, grad_out, ws=None):
+            calls.append(params.in_channels)
+            return grad_input(params, grad_out, ws)
+
+        monkeypatch.setattr(model, "conv2d_grad_input", counted)
+        net = build_network(NetworkConfig(depth=4, channels=5), seed=1)
+        x = np.random.default_rng(2).standard_normal((2, 3, 6, 6)).astype(np.float32)
+        y, caches = forward_train(net, x)
+        backward(net, caches, np.ones_like(y))
+        assert calls == [5, 5, 5]  # blocks 3, 2, 1; block 0 eats 3 slices
 
 
 class TestDenoiseVolume:

@@ -9,10 +9,12 @@ from tgdkit.masking import commit_running_stats
 from tgdkit.ops import (
     BatchNormParams,
     ConvParams,
+    ConvWorkspace,
     batchnorm_backward,
     batchnorm_forward,
     conv2d_backward,
     conv2d_forward,
+    conv2d_grad_input,
     relu_backward,
     relu_forward,
 )
@@ -21,9 +23,9 @@ from oracles import batchnorm_twopass, central_difference, conv2d_loop, rel_err
 
 
 def conv_grads(x, params, g):
-    """conv2d_backward fed the patch matrix of conv2d_forward on x."""
-    _, cols = conv2d_forward(x, params)
-    return conv2d_backward(cols, params, g)
+    """(grad_input, grad_weights, grad_bias) of conv2d_forward on x."""
+    gw, gb = conv2d_backward(x, params, g)
+    return conv2d_grad_input(params, g), gw, gb
 
 
 def rand_conv(rng, n, c, dtype=np.float64, bias=True):
@@ -40,7 +42,7 @@ class TestConvForward:
             np.ones((2, 1, 3, 3), dtype=np.float32),
             np.array([1.5, -2.0], dtype=np.float32),
         )
-        out, _ = conv2d_forward(x, params)
+        out = conv2d_forward(x, params)
         assert np.all(out[0, 0] == 1.5)
         assert np.all(out[0, 1] == -2.0)
 
@@ -49,14 +51,14 @@ class TestConvForward:
         x = rng.standard_normal((1, 1, 6, 7)).astype(np.float32)
         w = np.zeros((1, 1, 3, 3), dtype=np.float32)
         w[0, 0, 1, 1] = 1.0
-        out, _ = conv2d_forward(x, ConvParams(w, np.zeros(1, dtype=np.float32)))
+        out = conv2d_forward(x, ConvParams(w, np.zeros(1, dtype=np.float32)))
         np.testing.assert_array_equal(out, x)
 
     def test_matches_loop_oracle(self):
         rng = np.random.default_rng(1)
         x = rng.standard_normal((1, 2, 5, 5))
         params = rand_conv(rng, 3, 2)
-        out, _ = conv2d_forward(x, params)
+        out = conv2d_forward(x, params)
         ref = conv2d_loop(x, params.weights, params.bias)
         np.testing.assert_allclose(out, ref, atol=1e-6)
 
@@ -68,7 +70,7 @@ class TestConvForward:
         x = rng.standard_normal((b, c, h, w))
         params = rand_conv(rng, int(n), int(c), bias=bool(case % 2))
         np.testing.assert_allclose(
-            conv2d_forward(x, params)[0],
+            conv2d_forward(x, params),
             conv2d_loop(x, params.weights, params.bias),
             atol=1e-6,
         )
@@ -83,10 +85,9 @@ class TestConvForward:
         rng = np.random.default_rng(2)
         x = rng.standard_normal((2, 3, 6, 6)).astype(np.float32)
         params = rand_conv(rng, 4, 3, dtype=np.float32)
-        a, cols_a = conv2d_forward(x, params)
-        b, cols_b = conv2d_forward(x, params)
+        a = conv2d_forward(x, params)
+        b = conv2d_forward(x, params)
         np.testing.assert_array_equal(a, b)
-        np.testing.assert_array_equal(cols_a, cols_b)
 
 
 class TestConvBackward:
@@ -120,11 +121,11 @@ class TestConvBackward:
         g = rng.standard_normal((2, 3, 4, 4))
 
         def loss_of_x(xv):
-            return float((conv2d_forward(xv, params)[0] * g).sum())
+            return float((conv2d_forward(xv, params) * g).sum())
 
         def loss_of_w(wv):
             return float(
-                (conv2d_forward(x, ConvParams(wv, params.bias))[0] * g).sum()
+                (conv2d_forward(x, ConvParams(wv, params.bias)) * g).sum()
             )
 
         gx, gw, gb = conv_grads(x, params, g)
@@ -145,6 +146,37 @@ class TestConvBackward:
         params = rand_conv(rng, 2, 2)
         with pytest.raises(ValueError):
             conv_grads(x, params, np.zeros((1, 2, 5, 4)))
+
+
+class TestConvWorkspace:
+    def test_reuse_across_shapes_and_dtypes_matches_fresh_calls(self):
+        # Start from buffers full of NaN, at least as large as any view the
+        # calls below take, so every view reuses memory that held other
+        # data: a stale border or tap would show in the results.
+        rng = np.random.default_rng(8)
+        c, n, h, w = 3, 4, 5, 7
+        ws = ConvWorkspace()
+        ws.view("padded", (8, n, h + 2, w + 2), np.float64)[...] = np.nan
+        ws.view("cols", (8, 9 * n, h * w), np.float64)[...] = np.nan
+        for b, dtype in ((8, np.float32), (2, np.float32), (2, np.float64), (8, np.float32)):
+            x = rng.standard_normal((b, c, h, w)).astype(dtype)
+            g = rng.standard_normal((b, n, h, w)).astype(dtype)
+            params = rand_conv(rng, n, c, dtype=dtype)
+
+            y = conv2d_forward(x, params, ws)
+            padded = ws.view("padded", (b, c, h + 2, w + 2), dtype)
+            np.testing.assert_array_equal(padded[:, :, 1:-1, 1:-1], x)
+            padded[:, :, 1:-1, 1:-1] = 0
+            assert not padded.any(), "padded border is not zero"
+            np.testing.assert_array_equal(y, conv2d_forward(x, params))
+            for have, fresh in zip(
+                conv2d_backward(x, params, g, ws), conv2d_backward(x, params, g)
+            ):
+                np.testing.assert_array_equal(have, fresh)
+            np.testing.assert_array_equal(
+                conv2d_grad_input(params, g, ws), conv2d_grad_input(params, g)
+            )
+            assert y.dtype == dtype
 
 
 conv_cases = given(
@@ -173,8 +205,8 @@ class TestConvProperties:
         params = rand_conv(rng, n, c, bias=False)
         x1, x2 = rng.standard_normal((2, b, c, h, w))
         alpha, beta = rng.standard_normal(2)
-        y1, y2 = conv2d_forward(x1, params)[0], conv2d_forward(x2, params)[0]
-        y = conv2d_forward(alpha * x1 + beta * x2, params)[0]
+        y1, y2 = conv2d_forward(x1, params), conv2d_forward(x2, params)
+        y = conv2d_forward(alpha * x1 + beta * x2, params)
         scale = abs(alpha) * np.abs(y1).max() + abs(beta) * np.abs(y2).max()
         assert_close(y, alpha * y1 + beta * y2, 9 * c * scale)
 
@@ -185,9 +217,9 @@ class TestConvProperties:
         x = rng.standard_normal((b, c, h, w))
         w1, w2 = (rand_conv(rng, n, c, bias=False).weights for _ in range(2))
         alpha, beta = rng.standard_normal(2)
-        y1 = conv2d_forward(x, ConvParams(w1))[0]
-        y2 = conv2d_forward(x, ConvParams(w2))[0]
-        y = conv2d_forward(x, ConvParams(alpha * w1 + beta * w2))[0]
+        y1 = conv2d_forward(x, ConvParams(w1))
+        y2 = conv2d_forward(x, ConvParams(w2))
+        y = conv2d_forward(x, ConvParams(alpha * w1 + beta * w2))
         scale = abs(alpha) * np.abs(y1).max() + abs(beta) * np.abs(y2).max()
         assert_close(y, alpha * y1 + beta * y2, 9 * c * scale)
 
@@ -200,7 +232,7 @@ class TestConvProperties:
         x = rng.standard_normal((b, c, h, w))
         params = rand_conv(rng, n, c)
         g = rng.standard_normal((b, n, h, w))
-        y, _ = conv2d_forward(x, params)
+        y = conv2d_forward(x, params)
         gx, gw, gb = conv_grads(x, params, g)
         bias_term = float(params.bias @ gb)
         scale = 9 * c * (np.abs(x).max() * np.abs(params.weights).max() + 1) * np.abs(g).sum()
