@@ -20,6 +20,7 @@ from collections.abc import Callable
 from dataclasses import replace
 from functools import partial
 from pathlib import Path
+from typing import get_args
 
 import numpy as np
 
@@ -48,8 +49,10 @@ from .phantom import (
     DataFileError,
     Lesion,
     ScanProtocol,
+    _read_sidecar,
     background_voxels,
     build_dataset,
+    has_kind,
     lesion_voxels,
     load_dataset,
     load_study,
@@ -69,10 +72,6 @@ class ConfigError(Exception):
     pass
 
 
-class DataError(Exception):
-    pass
-
-
 def sha256_file(path) -> str:
     h = hashlib.sha256()
     with open(path, "rb") as f:
@@ -86,39 +85,29 @@ def json_text(doc) -> str:
 
 
 def load_config(path) -> dict:
-    p = Path(path)
-    if not p.exists():
-        raise ConfigError(f"config file not found: {p}")
     try:
-        doc = json.loads(p.read_text())
-    except json.JSONDecodeError as e:
-        raise ConfigError(f"config is not valid JSON: {e}") from e
-    if not isinstance(doc, dict):
-        raise ConfigError("config must be a JSON object")
-    return doc
+        return _read_sidecar(Path(path))
+    except DataFileError as e:
+        raise ConfigError(str(e)) from e
 
 
-def need(cfg: dict, field: str, kind, where: str = "config"):
-    """Fetch a required field, naming it in the error. Dotted paths descend."""
-    node = cfg
-    parts = field.split(".")
-    for part in parts:
-        if not isinstance(node, dict) or part not in node:
-            raise ConfigError(f"missing field: {field} (in {where})")
-        node = node[part]
-    if kind is float and isinstance(node, int):
-        node = float(node)
-    if kind is not None and not isinstance(node, kind):
-        raise ConfigError(f"field {field} must be {kind}, got {type(node).__name__}")
-    return node
+_REQUIRED = object()
 
 
-def opt(cfg: dict, field: str, default):
+def need(cfg: dict, field: str, kind, default=_REQUIRED, where: str = "config"):
+    """The value at dotted path ``field``, which must be a JSON value of
+    ``kind`` (see ``has_kind``); if unset, ``default``, else a ConfigError
+    naming the field."""
     node = cfg
     for part in field.split("."):
         if not isinstance(node, dict) or part not in node:
+            if default is _REQUIRED:
+                raise ConfigError(f"missing field: {field} (in {where})")
             return default
         node = node[part]
+    if not has_kind(node, kind):
+        name = str(kind) if get_args(kind) else kind.__name__
+        raise ConfigError(f"field {field} must be {name}, got {node!r} (in {where})")
     return node
 
 
@@ -175,50 +164,38 @@ def write_run(
     return 0
 
 
-def given(cfg: dict, fields, section: str | None = None) -> dict:
-    """The ``fields`` a config (or one of its sections) sets, by name; the
-    config dataclasses hold the defaults of the rest."""
-    node = opt(cfg, section, {}) if section else cfg
-    return {f: node[f] for f in fields if f in node} if isinstance(node, dict) else {}
+def given(cfg: dict, kinds: dict, section: str | None = None) -> dict:
+    """The fields of ``kinds`` (name -> kind, as in ``need``) that a config
+    or one of its sections sets; the config dataclasses hold the defaults
+    of the rest."""
+    node = need(cfg, section, dict, {}) if section else cfg
+    where = section or "config"
+    return {f: need(node, f, k, where=where) for f, k in kinds.items() if f in node}
 
 
-def _network_config(cfg: dict) -> NetworkConfig:
-    try:
-        return NetworkConfig(
-            **given(cfg, ("depth", "channels", "input_slices"), "network")
-        )
-    except ValueError as e:
-        raise ConfigError(str(e)) from e
+TRAIN_FIELDS = {
+    "epochs": int | None, "batch_size": int, "learning_rate": float | None,
+    "weight_decay": float, "seed": int, "kse_threshold": float | None,
+    "last_layer_frozen": bool, "phi": float | None, "freeze_last_layer": bool,
+}
+# "phi"/"freeze_last_layer" are the config-file spellings of two fields;
+# manifests echo the field names, and replaying a manifest must work too
+SPELLINGS = {"phi": "kse_threshold", "freeze_last_layer": "last_layer_frozen"}
 
 
 def _train_config(cfg: dict, args, mode: str) -> TrainConfig:
-    kw = given(cfg, (
-        "epochs", "batch_size", "learning_rate", "weight_decay", "seed",
-        "kse_threshold", "last_layer_frozen",
-    ))
-    # "phi"/"freeze_last_layer" are the config-file spellings; manifests echo
-    # the field names, and replaying a manifest must work too
-    spellings = (("phi", "kse_threshold"), ("freeze_last_layer", "last_layer_frozen"))
-    kw.update({field: cfg[key] for key, field in spellings if key in cfg})
-    for flag, field in (("epochs", "epochs"), ("seed", "seed"), *spellings):
+    kw = {SPELLINGS.get(k, k): v for k, v in given(cfg, TRAIN_FIELDS).items()}
+    for flag in ("epochs", "seed", *SPELLINGS):
         if getattr(args, flag, None) is not None:
-            kw[field] = getattr(args, flag)
-    try:
-        return TrainConfig(
-            mode=mode,
-            kse=KseConfig(**given(cfg, ("alpha", "k_neighbors"), "kse")),
-            network=_network_config(cfg),
-            **kw,
-        )
-    except ValueError as e:
-        raise ConfigError(str(e)) from e
-
-
-def _load_net(path, expect: NetworkConfig | None = None):
-    p = Path(path)
-    if not p.exists():
-        raise DataError(f"weights file not found: {p}")
-    return load_weights(p, expect=expect)
+            kw[SPELLINGS.get(flag, flag)] = getattr(args, flag)
+    return TrainConfig(
+        mode=mode,
+        kse=KseConfig(**given(cfg, {"alpha": float, "k_neighbors": int}, "kse")),
+        network=NetworkConfig(**given(
+            cfg, {"depth": int, "channels": int, "input_slices": int}, "network"
+        )),
+        **kw,
+    )
 
 
 def _study_at_level(args):
@@ -226,25 +203,17 @@ def _study_at_level(args):
     study's highest count level. The n2n halves and the "full" scan they
     were split from are not count levels; a study without level metadata
     falls back to its numerically largest realization key."""
-    study_dir = Path(args.study)
-    if not (study_dir / "study.json").exists():
-        raise DataError(f"study not found at {study_dir}")
-    study = load_study(study_dir)
+    study = load_study(args.study)
     level = args.level
     if not level:
         levels = study.metadata.get("levels")
         if levels:
-            try:
-                level = max(levels, key=lambda k: float(levels[k]["fraction"]))
-            except (KeyError, TypeError, ValueError) as e:
-                raise DataFileError(
-                    f"{study_dir / 'study.json'}: bad metadata.levels: {e!r}"
-                ) from e
+            level = max(levels, key=lambda k: levels[k]["fraction"])
         else:
             level = max(filter(_is_number, study.realizations), key=float, default=None)
     if level not in study.realizations:
-        raise DataError(f"study has no count level {level!r}")
-    return study_dir, study, level
+        raise DataFileError(f"study has no count level {level!r}")
+    return Path(args.study), study, level
 
 
 def _is_number(text: str) -> bool:
@@ -263,30 +232,29 @@ def cmd_gen_data(args) -> int:
     seed = need(cfg, "seed", int)
     h = need(cfg, "image.height", int)
     w = need(cfg, "image.width", int)
-    slices = opt(cfg, "image.slices", 5)
+    slices = need(cfg, "image.slices", int, 5)
     protocol = ScanProtocol(
-        psf_sigma=need(cfg, "protocol.psf_sigma", float),
-        count_budget=need(cfg, "protocol.count_budget", float),
+        psf_sigma=float(need(cfg, "protocol.psf_sigma", float)),
+        count_budget=float(need(cfg, "protocol.count_budget", float)),
         seed=seed,
     )
     n_train = need(cfg, "phantoms.n_train", int)
-    n_val = opt(cfg, "phantoms.n_val", 0)
-    levels = tuple(opt(cfg, "count_levels", list(DATASET_COUNT_LEVELS)))
+    n_val = need(cfg, "phantoms.n_val", int, 0)
+    levels = tuple(need(cfg, "count_levels", list[float], list(DATASET_COUNT_LEVELS)))
     resolved = {
         "seed": seed,
         "image": {"height": h, "width": w, "slices": slices},
         "protocol": protocol.to_dict(),
         "phantoms": cfg.get("phantoms", {}),
         "count_levels": list(levels),
-        "test_studies": opt(cfg, "test_studies", []),
+        "test_studies": need(cfg, "test_studies", list[dict], []),
     }
 
     rng = np.random.default_rng(seed)
-    lesions = given(cfg, ("lesion_radius", "lesion_contrast"), "phantoms")
+    lesions = given(cfg, {"lesion_radius": float, "lesion_contrast": float}, "phantoms")
+    n_lesions = given(cfg, {"n_lesions": int}, "phantoms")
     specs = [
-        random_phantom_spec(
-            rng, h, w, slices=slices, **lesions, **given(cfg, ("n_lesions",), "phantoms")
-        )
+        random_phantom_spec(rng, h, w, slices=slices, **lesions, **n_lesions)
         for _ in range(n_train + n_val)
     ]
     dataset = build_dataset(specs, protocol, levels, n_val=n_val)
@@ -297,19 +265,19 @@ def cmd_gen_data(args) -> int:
         name = need(tcfg, "name", str, where="test_studies entry")
         # a test study draws its own lesion count, not the dataset's
         spec = random_phantom_spec(
-            rng, h, w, slices=slices, **lesions, **given(tcfg, ("n_lesions",))
+            rng, h, w, slices=slices, **lesions, **given(tcfg, {"n_lesions": int})
         )
-        ood = opt(tcfg, "ood_lesion", None)
+        ood = need(tcfg, "ood_lesion", dict | None, None)
         if ood is not None:
             extra = Lesion(
-                tuple(need(ood, "center", list, where="ood_lesion")),
-                need(ood, "radius", float, where="ood_lesion"),
-                need(ood, "contrast", float, where="ood_lesion"),
+                tuple(need(ood, "center", list[float], where="ood_lesion")),
+                float(need(ood, "radius", float, where="ood_lesion")),
+                float(need(ood, "contrast", float, where="ood_lesion")),
             )
             spec = replace(spec, lesions=spec.lesions + (extra,))
-        study = make_study(
-            spec, protocol, **given(tcfg, ("count_levels", "n_realizations", "n2n_split"))
-        )
+        study = make_study(spec, protocol, **given(tcfg, {
+            "count_levels": list[float], "n_realizations": int, "n2n_split": bool,
+        }))
         rois = {
             "lesion": Roi("lesion", lesion_voxels(spec)),
             "background": Roi("background", background_voxels(spec)),
@@ -341,15 +309,13 @@ def cmd_training(args, mode: str) -> int:
     resolved = {source: str(source_dir), **tc.to_dict()}
     if mode != "scratch":
         resolved["weights"] = str(Path(need(cfg, "weights", str)))
-        resolved["generation"] = opt(cfg, "generation", 1)
+        resolved["generation"] = need(cfg, "generation", int, 1)
     inputs = {source: source_dir / f"{source}.json"}
-    if not inputs[source].exists():
-        raise DataError(f"{source} not found at {source_dir}")
 
     if mode == "n2n_online":
         study = load_study(source_dir)
         if "n2n" not in study.realizations:
-            raise DataError("study has no 'n2n' split (generate with n2n_split: true)")
+            raise DataFileError("study has no 'n2n' split (generate with n2n_split: true)")
     else:
         dataset = load_dataset(source_dir)
     masks = None
@@ -357,7 +323,7 @@ def cmd_training(args, mode: str) -> int:
         net, record = train_scratch(tc, dataset)
     else:
         inputs["weights"] = Path(resolved["weights"])
-        base = _load_net(inputs["weights"], expect=tc.network)
+        base = load_weights(inputs["weights"], expect=tc.network)
         generation = resolved["generation"]
         if mode == "tgd_finetune":
             net, record, masks = finetune_tgd(base, tc, dataset, generation=generation)
@@ -386,8 +352,8 @@ def cmd_training(args, mode: str) -> int:
 
 
 def cmd_kse_report(args) -> int:
-    net = _load_net(args.weights)
-    kse = KseConfig(**given(vars(args), ("alpha", "k_neighbors")))
+    net = load_weights(args.weights)
+    kse = KseConfig(**given(vars(args), {"alpha": float, "k_neighbors": int}))
     report = kse_scores(net, kse)
     sweep = []
     for t in SWEEP_THRESHOLDS:
@@ -426,7 +392,7 @@ def cmd_kse_report(args) -> int:
 
 
 def cmd_prune_eval(args) -> int:
-    net = _load_net(args.weights)
+    net = load_weights(args.weights)
     study_dir, study, level = _study_at_level(args)
     noisy = study.realizations[level][0]
 
@@ -470,7 +436,7 @@ def cmd_prune_eval(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    net = _load_net(args.weights)
+    net = load_weights(args.weights)
     study_dir, study, level = _study_at_level(args)
     rois_path = Path(args.rois) if args.rois else study_dir / "rois.json"
     if not rois_path.exists():
@@ -608,7 +574,7 @@ def main(argv=None) -> int:
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
-    except (DataError, DataFileError, WeightFileError, NonFiniteLossError) as e:
+    except (DataFileError, WeightFileError, NonFiniteLossError) as e:
         print(f"data error: {e}", file=sys.stderr)
         return 3
     except ValueError as e:

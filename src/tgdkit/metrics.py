@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .model import Network, denoise_volume
-from .phantom import DataFileError, _read_sidecar
+from .phantom import DataFileError, _read_sidecar, has_kind
 
 ROI_KINDS = ("lesion", "background")
 
@@ -51,13 +51,16 @@ def save_rois(rois: dict[str, Roi], path) -> None:
 
 
 def load_rois(path) -> dict[str, Roi]:
-    """The ROIs a ``save_rois`` file names; a malformed file is a DataFileError."""
+    """The ROIs a ``save_rois`` file names: each a nonempty list of integer
+    (s, y, x) triples. A malformed file is a DataFileError."""
     out = {}
     for name, voxels in _read_sidecar(Path(path)).items():
         kind = "lesion" if "lesion" in name else "background"
         try:
-            out[name] = Roi(kind, np.asarray(voxels))
-        except (TypeError, ValueError) as e:
+            if not has_kind(voxels, list[list[int]]):
+                raise ValueError("not a list of integer index triples")
+            out[name] = Roi(kind, voxels)
+        except (OverflowError, ValueError) as e:
             raise DataFileError(f"{path}: roi {name!r}: {e}") from e
     return out
 

@@ -162,7 +162,6 @@ class BlockCache:
     x: np.ndarray  # conv input; the backward pass rebuilds its patch matrix
     conv_out: np.ndarray
     bn_stats: BnStats | None
-    relu_in: np.ndarray | None
 
 
 def _check_input(net: Network, x: np.ndarray) -> None:
@@ -186,11 +185,10 @@ def _run(
         out = conv_out
         if block.bn is not None:
             out, bn_stats = batchnorm_forward(out, block.bn, mode)
-        relu_in = out if block.relu else None
         if block.relu:
             out = relu_forward(out)
         if want_cache:
-            caches.append(BlockCache(h, conv_out, bn_stats, relu_in))
+            caches.append(BlockCache(h, conv_out, bn_stats))
         h = out
     y = h + x[:, center : center + 1]
     return y, caches
@@ -254,7 +252,8 @@ def backward(
     for i in range(len(net.blocks) - 1, -1, -1):
         block, cache = net.blocks[i], caches[i]
         if block.relu:
-            g = relu_backward(cache.relu_in, g)
+            # its output, the next block's input, is > 0 where its input was
+            g = relu_backward(caches[i + 1].x, g)
         g_gamma = g_beta = None
         if block.bn is not None:
             g, g_gamma, g_beta = batchnorm_backward(
@@ -344,11 +343,14 @@ def load_weights(path, expect: NetworkConfig | None = None) -> Network:
     caller requires) or else the header's config, before any data is read
     or any network is built; the first array that disagrees is named in
     the error. Every declared length is bounded by the bytes left in the
-    file. A corrupt header or name, non-finite data or trailing bytes
-    raise WeightFileError too.
+    file. An unreadable file, a corrupt header or name, non-finite data or
+    trailing bytes raise WeightFileError too.
     """
-    with open(path, "rb") as f:
-        buf = f.read()
+    try:
+        with open(path, "rb") as f:
+            buf = f.read()
+    except OSError as e:
+        raise WeightFileError(f"{path}: unreadable weight file: {e}") from e
     pos = 0
 
     def take(n: int, what: str) -> bytes:

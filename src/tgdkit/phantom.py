@@ -16,6 +16,7 @@ import json
 import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
+from typing import get_args, get_origin
 
 import numpy as np
 from scipy.ndimage import gaussian_filter
@@ -36,9 +37,9 @@ BACKGROUND_MARGIN = 3.0
 
 
 class DataFileError(ValueError):
-    """A stored dataset or study is malformed: an unreadable or incomplete
-    JSON sidecar, a file entry outside its directory, or a volume of the
-    wrong size or with non-finite values."""
+    """An input file is malformed: an unreadable JSON file or one that lacks
+    a key or holds a value of the wrong type, a file entry outside its
+    directory, or a volume of the wrong size or with non-finite values."""
 
 
 @dataclass(frozen=True)
@@ -453,28 +454,14 @@ def save_dataset(dataset: DenoiseDataset, directory) -> None:
     d.mkdir(parents=True, exist_ok=True)
     entries = []
     for sp in dataset.train + dataset.val:
-        sub = d / f"phantom_{sp.phantom_id:03d}"
-        sub.mkdir(exist_ok=True)
-        _write_f32(sub / "truth.f32", sp.truth)
-        _write_f32(sub / "target.f32", sp.target)
-        files = {"truth": "truth.f32", "target": "target.f32"}
-        for key, vol in sp.inputs.items():
-            fname = f"input_{key}.f32"
-            files[key] = fname
-            _write_f32(sub / fname, vol)
-        _write_json(
-            sub / "meta.json",
-            {
-                "phantom_id": sp.phantom_id,
-                "shape": list(sp.truth.shape),
-                "files": files,
-                "levels": sorted(sp.inputs),
-            },
+        entries.append(f"phantom_{sp.phantom_id:03d}")
+        volumes = {"truth": ("truth.f32", sp.truth), "target": ("target.f32", sp.target)}
+        volumes.update({key: (f"input_{key}.f32", v) for key, v in sp.inputs.items()})
+        _save_volumes(
+            d / entries[-1] / "meta.json", volumes,
+            phantom_id=sp.phantom_id, levels=sorted(sp.inputs),
         )
-        entries.append(sub.name)
-    doc = dict(dataset.manifest)
-    doc["phantom_dirs"] = entries
-    _write_json(d / "dataset.json", doc)
+    _write_json(d / "dataset.json", {**dataset.manifest, "phantom_dirs": entries})
 
 
 def load_dataset(directory) -> DenoiseDataset:
@@ -482,15 +469,14 @@ def load_dataset(directory) -> DenoiseDataset:
     doc = _read_sidecar(d / "dataset.json", phantom_dirs=list)
     studies = []
     for name in doc["phantom_dirs"]:
-        sub = _inside(d, name, "phantom_dirs entry")
-        meta = _read_sidecar(
-            sub / "meta.json", phantom_id=int, shape=list, files=dict, levels=list
+        meta, (truth, target, *inputs) = _load_volumes(
+            _inside(d, name, "phantom_dirs entry") / "meta.json",
+            lambda m: [(key, m["shape"]) for key in ("truth", "target", *m["levels"])],
+            phantom_id=int, levels=list,
         )
-        files, shape = meta["files"], meta["shape"]
-        truth = _volume(sub, files, "truth", shape)
-        target = _volume(sub, files, "target", shape)
-        inputs = {key: _volume(sub, files, key, shape) for key in meta["levels"]}
-        studies.append(StudyPair(meta["phantom_id"], truth, target, inputs))
+        studies.append(
+            StudyPair(meta["phantom_id"], truth, target, dict(zip(meta["levels"], inputs)))
+        )
     n_val = doc.get("n_val", 0)
     if type(n_val) is not int or not 0 <= n_val <= len(studies):
         raise DataFileError(f"{d / 'dataset.json'}: bad n_val {n_val!r}")
@@ -504,35 +490,24 @@ def load_dataset(directory) -> DenoiseDataset:
 
 def save_study(study: Study, directory) -> None:
     """Raw little-endian float32 tensors plus a JSON sidecar manifest."""
-    d = Path(directory)
-    d.mkdir(parents=True, exist_ok=True)
-    files = {"truth": "truth.f32"}
-    _write_f32(d / "truth.f32", study.truth)
-    for key, stack in study.realizations.items():
-        fname = f"real_{key}.f32"
-        files[key] = fname
-        _write_f32(d / fname, stack)
-    meta = {
-        "shape": list(study.truth.shape),
-        "realization_shapes": {k: list(v.shape) for k, v in study.realizations.items()},
-        "files": files,
-        "protocol": study.protocol.to_dict(),
-        "metadata": study.metadata,
-    }
-    _write_json(d / "study.json", meta)
+    volumes = {"truth": ("truth.f32", study.truth)}
+    volumes.update({key: (f"real_{key}.f32", v) for key, v in study.realizations.items()})
+    _save_volumes(
+        Path(directory) / "study.json", volumes,
+        realization_shapes={k: list(v.shape) for k, v in study.realizations.items()},
+        protocol=study.protocol.to_dict(),
+        metadata=study.metadata,
+    )
 
 
 def load_study(directory) -> Study:
-    d = Path(directory)
-    path = d / "study.json"
-    meta = _read_sidecar(
-        path, shape=list, realization_shapes=dict, files=dict, protocol=dict
+    """A stored study. Its optional ``metadata.levels`` must map each count
+    level to an object with a numeric ``fraction``."""
+    path = Path(directory) / "study.json"
+    meta, (truth, *stacks) = _load_volumes(
+        path, lambda m: [("truth", m["shape"]), *m["realization_shapes"].items()],
+        realization_shapes=dict, protocol=dict,
     )
-    truth = _volume(d, meta["files"], "truth", meta["shape"])
-    realizations = {
-        key: _volume(d, meta["files"], key, shape)
-        for key, shape in meta["realization_shapes"].items()
-    }
     try:
         protocol = ScanProtocol.from_dict(meta["protocol"])
     except (KeyError, TypeError, ValueError) as e:
@@ -540,28 +515,79 @@ def load_study(directory) -> Study:
     metadata = meta.get("metadata", {})
     if type(metadata) is not dict:
         raise DataFileError(f"{path}: 'metadata' is not a dict")
+    levels = metadata.get("levels") or {}
+    if type(levels) is not dict or not all(
+        type(v) is dict and has_kind(v.get("fraction"), float) for v in levels.values()
+    ):
+        raise DataFileError(f"{path}: bad metadata.levels {levels!r}")
+    realizations = dict(zip(meta["realization_shapes"], stacks))
     return Study(truth, realizations, protocol, metadata)
 
 
+def _save_volumes(path: Path, volumes: dict[str, tuple[str, np.ndarray]], **doc) -> None:
+    """The on-disk container of a phantom and of a study: ``volumes`` (key ->
+    (file name, array)) as raw little-endian float32 beside the JSON sidecar
+    ``path``, which holds ``doc``, the ``files`` map and the truth's shape."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    for name, vol in volumes.values():
+        (path.parent / name).write_bytes(np.ascontiguousarray(vol, dtype="<f4").tobytes())
+    files = {key: name for key, (name, _) in volumes.items()}
+    _write_json(path, {**doc, "files": files, "shape": list(volumes["truth"][1].shape)})
+
+
+def _load_volumes(path: Path, keys, **kinds: type) -> tuple[dict, list[np.ndarray]]:
+    """A ``_save_volumes`` sidecar with ``kinds`` keys, and the volumes
+    ``keys(sidecar)`` lists as (files key, shape) pairs, in that order. Each
+    must be a file inside the sidecar's directory, of that size, and finite."""
+    doc = _read_sidecar(path, shape=list, files=dict, **kinds)
+    volumes = []
+    for key, shape in keys(doc):
+        name = doc["files"].get(key) if isinstance(key, str) else None
+        f = _inside(path.parent, name, f"files[{key!r}]")
+        if not has_kind(shape, list[int]) or min(shape, default=0) < 0:
+            raise DataFileError(f"{f}: bad shape {shape!r}")
+        try:
+            raw = f.read_bytes()
+        except OSError as e:
+            raise DataFileError(f"{f}: unreadable: {e}") from e
+        if len(raw) != 4 * math.prod(shape):
+            raise DataFileError(
+                f"{f}: expected {math.prod(shape)} float32 values, got {len(raw) / 4:g}"
+            )
+        vol = np.frombuffer(raw, dtype="<f4")
+        if not np.isfinite(vol).all():
+            raise DataFileError(f"{f}: non-finite values")
+        volumes.append(vol.reshape(shape).copy())
+    return doc, volumes
+
+
 def _read_sidecar(path: Path, **kinds: type) -> dict:
-    """A dataset or study JSON sidecar: an object whose ``kinds`` keys hold
-    values of those JSON types. Anything else is a DataFileError."""
+    """A JSON input file: an object whose ``kinds`` keys hold values of
+    those kinds (see ``has_kind``). Anything else is a DataFileError."""
     try:
         doc = json.loads(path.read_text())
     except (OSError, ValueError) as e:  # JSON and UTF-8 errors are ValueErrors
-        raise DataFileError(f"{path}: unreadable sidecar: {e}") from e
+        raise DataFileError(f"{path}: not a readable JSON file: {e}") from e
     if not isinstance(doc, dict):
         raise DataFileError(f"{path}: not a JSON object")
     for key, kind in kinds.items():
-        if type(doc.get(key)) is not kind:
+        if not has_kind(doc.get(key), kind):
             raise DataFileError(f"{path}: {key!r} is missing or not a {kind.__name__}")
     return doc
 
 
-def _volume(directory: Path, files: dict, key, shape) -> np.ndarray:
-    """The volume a sidecar's ``files[key]`` names inside ``directory``."""
-    name = files.get(key) if isinstance(key, str) else None
-    return _read_f32(_inside(directory, name, f"files[{key!r}]"), shape)
+def has_kind(value, kind) -> bool:
+    """Whether a JSON value is of ``kind``: a type, ``list[kind]`` or a
+    union such as ``int | None``. JSON true and false are not ints, an int
+    is also a float, and NaN and the infinities are not floats at all."""
+    args = get_args(kind)
+    if get_origin(kind) is list:
+        return type(value) is list and all(has_kind(v, args[0]) for v in value)
+    if args:
+        return any(has_kind(value, k) for k in args)
+    if kind is float:
+        return type(value) is int or type(value) is float and math.isfinite(value)
+    return type(value) is kind
 
 
 def _inside(directory: Path, name, what: str) -> Path:
@@ -575,25 +601,3 @@ def _inside(directory: Path, name, what: str) -> Path:
 
 def _write_json(path, doc: dict) -> None:
     Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True, allow_nan=False))
-
-
-def _write_f32(path, arr: np.ndarray) -> None:
-    Path(path).write_bytes(np.ascontiguousarray(arr, dtype="<f4").tobytes())
-
-
-def _read_f32(path, shape) -> np.ndarray:
-    if type(shape) is not list or not all(type(n) is int and n >= 0 for n in shape):
-        raise DataFileError(f"{path}: bad shape {shape!r}")
-    try:
-        raw = Path(path).read_bytes()
-    except OSError as e:
-        raise DataFileError(f"{path}: unreadable: {e}") from e
-    expected = math.prod(shape)
-    if len(raw) != 4 * expected:
-        raise DataFileError(
-            f"{path}: expected {expected} float32 values, got {len(raw) / 4:g}"
-        )
-    arr = np.frombuffer(raw, dtype="<f4")
-    if not np.isfinite(arr).all():
-        raise DataFileError(f"{path}: non-finite values")
-    return arr.reshape(shape).copy()

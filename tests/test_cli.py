@@ -2,9 +2,13 @@
 
 import json
 import shutil
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tgdkit.cli import main, sha256_file
 from tgdkit.model import NetworkConfig, build_network, load_weights, network_hash, save_weights
@@ -543,3 +547,152 @@ class TestRunWriters:
             for kind in ("inputs", "outputs"):
                 for key, entry in manifest[kind].items():
                     assert sha256_file(entry["path"]) == entry["sha256"], (out.name, key)
+
+
+def n2n_config(workspace, **overrides):
+    return {
+        "study": str(workspace / "data" / "studies" / "probe"),
+        "weights": str(workspace / "base" / "weights.tgdw"),
+        "phi": 0.4, "seed": 1, "epochs": 1, "network": NET, **overrides,
+    }
+
+
+def set_field(doc, dotted, value):
+    *head, last = dotted.split(".")
+    for part in head:
+        doc = doc[int(part)] if isinstance(doc, list) else doc.setdefault(part, {})
+    doc[last] = value
+
+
+# (subcommand, dotted config path, a value of the wrong JSON type)
+MISTYPED = [
+    ("train", "epochs", "5"),
+    ("train", "batch_size", "x"),
+    ("train", "seed", 1.5),
+    ("train", "network.depth", "3"),
+    ("train", "learning_rate", "a"),
+    ("train", "weight_decay", None),
+    ("gen-data", "image.slices", "x"),
+    ("gen-data", "phantoms.n_val", "x"),
+    ("gen-data", "phantoms.lesion_radius", "x"),
+    ("gen-data", "test_studies.0.n_realizations", "x"),
+    ("n2n", "phi", "x"),
+    ("n2n", "kse.alpha", "x"),
+    ("n2n", "generation", "x"),
+    ("n2n", "freeze_last_layer", "no"),
+]
+
+
+class TestMistypedConfig:
+    @pytest.mark.parametrize("sub,field,value", MISTYPED)
+    def test_is_config_error_naming_the_field(
+        self, workspace, tmp_path, capsys, sub, field, value
+    ):
+        cfg = {
+            "train": lambda: json.loads((workspace / "train.json").read_text()),
+            "gen-data": lambda: json.loads(gen_config(tmp_path).read_text()),
+            "n2n": lambda: n2n_config(workspace),
+        }[sub]()
+        set_field(cfg, field, value)
+        (tmp_path / "c.json").write_text(json.dumps(cfg))
+        assert main([sub, str(tmp_path / "c.json"), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and field.split(".")[-1] in err
+        assert not (tmp_path / "o").exists()
+
+
+class TestDirectoryPaths:
+    def test_kse_report_weights_directory_exit_3(self, tmp_path, capsys):
+        assert main(["kse-report", str(tmp_path), "--out", str(tmp_path / "o")]) == 3
+        assert "data error" in capsys.readouterr().err
+
+    def test_config_directory_exit_2(self, tmp_path, capsys):
+        assert main(["train", str(tmp_path), "--out", str(tmp_path / "o")]) == 2
+        assert "config error" in capsys.readouterr().err
+
+    def test_n2n_weights_directory_exit_3(self, workspace, tmp_path, capsys):
+        (tmp_path / "n2n.json").write_text(
+            json.dumps(n2n_config(workspace, weights=str(tmp_path)))
+        )
+        assert main(["n2n", str(tmp_path / "n2n.json"), "--out", str(tmp_path / "o")]) == 3
+        assert "data error" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+
+def fuzz_case(workspace, root: Path, target: str, sub: str):
+    """The argv of ``sub`` and the JSON file ``target`` names, with every
+    input the command may change copied under ``root``."""
+    weights = str(workspace / "base" / "weights.tgdw")
+    dataset, study = root / "dataset", root / "probe"
+    shutil.copytree(workspace / "data" / "dataset", dataset)
+    shutil.copytree(workspace / "data" / "studies" / "probe", study)
+    train = {**json.loads((workspace / "train.json").read_text()), "dataset": str(dataset)}
+    configs = {
+        "gen-data": json.loads(gen_config(root).read_text()),
+        "train": train,
+        "tgd-finetune": {**train, "weights": weights, "epochs": 1, "phi": 0.5},
+        "n2n": n2n_config(workspace, study=str(study)),
+    }
+    if sub in configs:
+        (root / "cfg.json").write_text(json.dumps(configs[sub]))
+        argv = [sub, str(root / "cfg.json")]
+    else:
+        argv = [sub, weights, str(study)]
+    files = {
+        "config": root / "cfg.json",
+        "dataset.json": dataset / "dataset.json",
+        "meta.json": dataset / "phantom_000" / "meta.json",
+        "study.json": study / "study.json",
+        "rois.json": study / "rois.json",
+    }
+    return argv, files[target]
+
+
+# every JSON input file, with the subcommands that read it
+FUZZ_TARGETS = [
+    ("config", "gen-data"), ("config", "train"), ("config", "tgd-finetune"),
+    ("config", "n2n"), ("dataset.json", "train"), ("dataset.json", "tgd-finetune"),
+    ("meta.json", "train"), ("study.json", "n2n"), ("study.json", "prune-eval"),
+    ("study.json", "evaluate"), ("rois.json", "evaluate"),
+]
+OTHER_TYPES = ("x", 1, 1.5, True, None, [], {})
+
+
+def mutate(data, text: str) -> str:
+    """``text`` truncated, or its JSON with one value at a drawn path
+    deleted, given another type, wrapped in a list or set to NaN."""
+    how = data.draw(st.sampled_from(["delete", "retype", "wrap", "nan", "truncate"]))
+    if how == "truncate":
+        return text[: data.draw(st.integers(0, len(text) - 1))]
+    doc = node = json.loads(text)
+    while True:  # descend to a drawn value; shallow values are the likelier
+        parent = node
+        keys = list(node) if isinstance(node, dict) else range(len(node))
+        key = data.draw(st.sampled_from(keys))
+        node = parent[key]
+        if not (isinstance(node, (dict, list)) and node and data.draw(st.booleans())):
+            break
+    if how == "delete":
+        del parent[key]
+    elif how == "retype":
+        others = [v for v in OTHER_TYPES if type(v) is not type(node)]
+        parent[key] = data.draw(st.sampled_from(others))
+    elif how == "wrap":
+        parent[key] = [node]
+    else:
+        parent[key] = float("nan")
+    return json.dumps(doc)
+
+
+class TestFuzzInputs:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_any_mutated_input_exits_0_2_or_3(self, workspace, data):
+        target, sub = data.draw(st.sampled_from(FUZZ_TARGETS))
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            argv, path = fuzz_case(workspace, root, target, sub)
+            path.write_text(mutate(data, path.read_text()))
+            code = main([*argv, "--out", str(root / "o")])
+            assert code in (0, 2, 3)
+            assert code == 0 or not (root / "o").exists()

@@ -220,6 +220,20 @@ class TestBackward:
                 for a in arrays:
                     assert a.size <= activation, (i, field.name, a.shape)
 
+    def test_bn_block_caches_hold_two_activations(self):
+        # the conv input and the conv output; the backward takes the ReLU
+        # mask from the ReLU output, which is the next block's cached input
+        rng = np.random.default_rng(6)
+        net = build_network(NetworkConfig(depth=5, channels=16), seed=3)
+        x = rng.standard_normal((8, 3, 24, 24)).astype(np.float32)
+        _, caches = forward_train(net, x)
+        for i, cache in enumerate(caches[1:-1], start=1):
+            held = [
+                getattr(cache, f.name) for f in dataclasses.fields(cache)
+                if isinstance(getattr(cache, f.name), np.ndarray)
+            ]
+            assert [a.shape for a in held] == [(8, 16, 24, 24)] * 2, i
+
     def test_input_gradient_of_first_block_is_not_computed(self, monkeypatch):
         calls = []
         grad_input = model.conv2d_grad_input
