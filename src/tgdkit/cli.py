@@ -17,7 +17,7 @@ import json
 import sys
 import time
 from collections.abc import Callable
-from dataclasses import replace
+from dataclasses import asdict, replace
 from functools import partial
 from pathlib import Path
 from typing import get_args
@@ -306,7 +306,7 @@ def cmd_training(args, mode: str) -> int:
     source = "study" if mode == "n2n_online" else "dataset"
     source_dir = Path(need(cfg, source, str))
     tc = _train_config(cfg, args, mode)
-    resolved = {source: str(source_dir), **tc.to_dict()}
+    resolved = {source: str(source_dir), **asdict(tc)}
     if mode != "scratch":
         resolved["weights"] = str(Path(need(cfg, "weights", str)))
         resolved["generation"] = need(cfg, "generation", int, 1)
@@ -441,7 +441,7 @@ def cmd_evaluate(args) -> int:
     rois_path = Path(args.rois) if args.rois else study_dir / "rois.json"
     if not rois_path.exists():
         raise ConfigError(f"missing ROI file: {rois_path}")
-    rois = load_rois(rois_path)
+    rois = load_rois(rois_path, study.truth.shape)
     stack = study.realizations[level]
 
     denoised = [denoise_volume(net, stack[r]) for r in range(stack.shape[0])]

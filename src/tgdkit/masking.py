@@ -143,19 +143,17 @@ class MaskedAdam:
     whole channel runs of every array (conv weight and bias, BN gamma and
     beta) and one keep-vector freezes them all. Weight decay covers the conv
     entries only. The flat moments live here; the network keeps its own
-    arrays and each step writes into them in place. ``conv_masks=None``
-    trains every channel (the all-ones masks).
+    arrays and each step writes into them in place. An unmasked run passes
+    ``all_ones_masks(net)``.
     """
 
     def __init__(
         self,
         net: Network,
-        conv_masks: list[np.ndarray] | None,
+        conv_masks: list[np.ndarray],
         lr: float,
         weight_decay: float = 0.0,
     ):
-        if conv_masks is None:
-            conv_masks = all_ones_masks(net)
         if len(conv_masks) != net.depth:
             raise ValueError(f"{len(conv_masks)} masks for {net.depth} blocks")
         keep, decay, sizes = [], [], []

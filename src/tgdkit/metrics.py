@@ -50,9 +50,10 @@ def save_rois(rois: dict[str, Roi], path) -> None:
     Path(path).write_text(json.dumps(doc, sort_keys=True, allow_nan=False))
 
 
-def load_rois(path) -> dict[str, Roi]:
+def load_rois(path, shape: tuple[int, ...] | None = None) -> dict[str, Roi]:
     """The ROIs a ``save_rois`` file names: each a nonempty list of integer
-    (s, y, x) triples. A malformed file is a DataFileError."""
+    (s, y, x) triples, inside a volume of ``shape`` when one is given. A
+    malformed file is a DataFileError."""
     out = {}
     for name, voxels in _read_sidecar(Path(path)).items():
         kind = "lesion" if "lesion" in name else "background"
@@ -60,6 +61,8 @@ def load_rois(path) -> dict[str, Roi]:
             if not has_kind(voxels, list[list[int]]):
                 raise ValueError("not a list of integer index triples")
             out[name] = Roi(kind, voxels)
+            if shape is not None:
+                out[name].check_bounds(shape)
         except (OverflowError, ValueError) as e:
             raise DataFileError(f"{path}: roi {name!r}: {e}") from e
     return out

@@ -10,6 +10,7 @@ zero-weight network is exactly the identity on that slice.
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import itertools
 import math
@@ -81,9 +82,6 @@ class Block:
     bn: BatchNormParams | None
     relu: bool
 
-    def copy(self) -> "Block":
-        return Block(self.conv.copy(), None if self.bn is None else self.bn.copy(), self.relu)
-
 
 @dataclass
 class Network:
@@ -96,7 +94,7 @@ class Network:
         return len(self.blocks)
 
     def copy(self) -> "Network":
-        return Network([b.copy() for b in self.blocks], self.config, self.version_tag)
+        return copy.deepcopy(self)
 
 
 def has_batchnorm(index: int, depth: int) -> bool:
@@ -160,7 +158,7 @@ def num_parameters(net: Network) -> int:
 @dataclass
 class BlockCache:
     x: np.ndarray  # conv input; the backward pass rebuilds its patch matrix
-    conv_out: np.ndarray
+    conv_out: np.ndarray | None  # batchnorm input; None where there is none
     bn_stats: BnStats | None
 
 
@@ -188,7 +186,7 @@ def _run(
         if block.relu:
             out = relu_forward(out)
         if want_cache:
-            caches.append(BlockCache(h, conv_out, bn_stats))
+            caches.append(BlockCache(h, None if block.bn is None else conv_out, bn_stats))
         h = out
     y = h + x[:, center : center + 1]
     return y, caches
@@ -211,7 +209,7 @@ def forward_train(
     net: Network, x: np.ndarray, ws: ConvWorkspace | None = None
 ) -> tuple[np.ndarray, list[BlockCache]]:
     """Train-mode forward that also returns the per-block caches
-    :func:`backward` needs (inputs, pre-activations, batch statistics).
+    :func:`backward` needs (conv inputs, batchnorm inputs, batch statistics).
 
     ``ws`` is the conv workspace a training run reuses across its steps;
     None gives each conv call fresh buffers.

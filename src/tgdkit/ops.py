@@ -44,11 +44,6 @@ class ConvParams:
     def in_channels(self) -> int:
         return self.weights.shape[1]
 
-    def copy(self) -> "ConvParams":
-        return ConvParams(
-            self.weights.copy(), None if self.bias is None else self.bias.copy()
-        )
-
 
 @dataclass
 class BatchNormParams:
@@ -73,14 +68,6 @@ class BatchNormParams:
     @property
     def channels(self) -> int:
         return self.gamma.shape[0]
-
-    def copy(self) -> "BatchNormParams":
-        return BatchNormParams(
-            self.gamma.copy(),
-            self.beta.copy(),
-            self.running_mean.copy(),
-            self.running_var.copy(),
-        )
 
 
 @dataclass

@@ -103,10 +103,10 @@ class ScanProtocol:
     seed: int = 0
 
     def __post_init__(self):
-        if self.psf_sigma <= 0:
-            raise ValueError("psf_sigma must be positive")
-        if self.count_budget <= 0:
-            raise ValueError("count_budget must be positive")
+        if not 0 < self.psf_sigma < math.inf:  # NaN fails every comparison
+            raise ValueError("psf_sigma must be finite and positive")
+        if not 0 < self.count_budget < math.inf:
+            raise ValueError("count_budget must be finite and positive")
 
     def to_dict(self) -> dict:
         return asdict(self)

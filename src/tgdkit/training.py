@@ -50,9 +50,9 @@ class NonFiniteLossError(ArithmeticError):
 @dataclass
 class TrainConfig:
     mode: str = "scratch"
-    epochs: int | None = None          # None -> per-mode default
+    epochs: int | None = None  # None -> DEFAULT_EPOCHS[mode], set when built
     batch_size: int = 8
-    learning_rate: float | None = None  # None -> per-mode default
+    learning_rate: float | None = None  # None -> DEFAULT_LR[mode], likewise
     weight_decay: float = 1e-5
     seed: int = 0
     kse_threshold: float | None = None
@@ -63,11 +63,15 @@ class TrainConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.epochs is not None and self.epochs < 0:
+        if self.epochs is None:
+            self.epochs = DEFAULT_EPOCHS[self.mode]
+        if self.learning_rate is None:
+            self.learning_rate = DEFAULT_LR[self.mode]
+        if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if self.learning_rate is not None and self.learning_rate <= 0:
+        if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
         if self.weight_decay < 0:
             raise ValueError("weight_decay must be >= 0")
@@ -76,26 +80,9 @@ class TrainConfig:
         ):
             raise ValueError("kse_threshold must be finite and >= 0")
 
-    @property
-    def effective_epochs(self) -> int:
-        return DEFAULT_EPOCHS[self.mode] if self.epochs is None else self.epochs
-
-    @property
-    def effective_lr(self) -> float:
-        return DEFAULT_LR[self.mode] if self.learning_rate is None else self.learning_rate
-
-    def to_dict(self) -> dict:
-        """Every field, with the effective epochs and learning rate."""
-        return {
-            **asdict(self),
-            "epochs": self.effective_epochs,
-            "learning_rate": self.effective_lr,
-        }
-
 
 @dataclass
 class TrainRecord:
-    mode: str
     config: dict
     epoch_losses: list[float]
     val_mse: float | None
@@ -118,7 +105,7 @@ class TrainRecord:
             json.dumps(
                 {
                     "summary": True,
-                    "mode": self.mode,
+                    "mode": self.config["mode"],
                     "config": self.config,
                     "val_mse": self.val_mse,
                     "final_hash": self.final_hash,
@@ -170,11 +157,11 @@ def _train_loop(
     Only the channels ``conv_masks`` sets train. A batch whose loss is not
     finite raises NonFiniteLossError before it changes the network."""
     m = x.shape[0]
-    opt = MaskedAdam(net, conv_masks, config.effective_lr, config.weight_decay)
+    opt = MaskedAdam(net, conv_masks, config.learning_rate, config.weight_decay)
     rng = np.random.default_rng(config.seed)
     ws = ConvWorkspace()
     losses = []
-    for _ in range(config.effective_epochs):
+    for _ in range(config.epochs):
         perm = rng.permutation(m)
         epoch_loss = 0.0
         for start in range(0, m, config.batch_size):
@@ -222,7 +209,7 @@ def _fit(
     train_pairs, val_pairs = _resolve_pairs(dataset)
     if not train_pairs:
         raise ValueError("dataset is empty")
-    if config.effective_epochs < 1:
+    if config.epochs < 1:
         raise ValueError(f"{config.mode} training needs epochs >= 1")
     masks = None
     if generation is not None:
@@ -238,9 +225,7 @@ def _fit(
     wall = time.perf_counter() - t0
     _assert_frozen_exact(net, tuned, conv_masks)
     val = eval_pairs_mse(tuned, val_pairs) if val_pairs else None
-    record = TrainRecord(
-        config.mode, config.to_dict(), losses, val, wall, network_hash(tuned)
-    )
+    record = TrainRecord(asdict(config), losses, val, wall, network_hash(tuned))
     return tuned, record, masks
 
 
@@ -300,10 +285,8 @@ def online_n2n(
         )
     if realization_b.tobytes() < realization_a.tobytes():
         realization_a, realization_b = realization_b, realization_a
-    if config.effective_epochs == 0:
-        return net.copy(), TrainRecord(
-            config.mode, config.to_dict(), [], None, 0.0, network_hash(net)
-        )
+    if config.epochs == 0:
+        return net.copy(), TrainRecord(asdict(config), [], None, 0.0, network_hash(net))
     pairs = [(realization_a, realization_b), (realization_b, realization_a)]
     tuned, record, _ = _fit(net, config, pairs, generation)
     return tuned, record

@@ -443,6 +443,18 @@ def study_roi_entry_short(study):
     edit_json(study / "rois.json", lambda doc: doc.update(lesion=[[0, 0]]))
 
 
+def study_roi_voxel_outside(study):
+    edit_json(study / "rois.json", lambda doc: doc["background"].append([0, 99, 99]))
+
+
+def study_psf_sigma_nan(study):
+    edit_json(study / "study.json", lambda doc: doc["protocol"].update(psf_sigma=np.nan))
+
+
+def study_count_budget_infinite(study):
+    edit_json(study / "study.json", lambda doc: doc["protocol"].update(count_budget=np.inf))
+
+
 def dataset_without_phantom_dirs(dataset):
     edit_json(dataset / "dataset.json", lambda doc: doc.pop("phantom_dirs"))
 
@@ -457,7 +469,8 @@ SIDECAR_DAMAGE = {
     for f in (
         study_without_realization_shapes, study_not_json, study_file_outside,
         study_level_without_fraction, study_metadata_list, study_rois_list,
-        study_roi_entry_short, dataset_without_phantom_dirs, dataset_dir_outside,
+        study_roi_entry_short, study_roi_voxel_outside, study_psf_sigma_nan,
+        study_count_budget_infinite, dataset_without_phantom_dirs, dataset_dir_outside,
     )
 }
 

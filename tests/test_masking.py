@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 
 from oracles import PerLayerAdam
 from tgdkit.kse import kse_scores
-from tgdkit.masking import MaskedAdam, MaskSet, build_masks, commit_running_stats, remask
+from tgdkit.masking import (
+    MaskedAdam, MaskSet, all_ones_masks, build_masks, commit_running_stats, remask,
+)
 from tgdkit.model import (
     BlockGrads,
     NetworkConfig,
@@ -123,7 +125,7 @@ class TestMaskedUpdate:
         rng = np.random.default_rng(1)
         masked, plain = toy_net(seed=2), toy_net(seed=2)
         opt_m = MaskedAdam(masked, channel_masks(masked, [1]), 1e-2, weight_decay=1e-5)
-        opt_p = MaskedAdam(plain, None, 1e-2, weight_decay=1e-5)
+        opt_p = MaskedAdam(plain, all_ones_masks(plain), 1e-2, weight_decay=1e-5)
         for _ in range(3):
             grads = random_grads(plain, rng)
             opt_m.step(masked, grads)
@@ -138,7 +140,7 @@ class TestMaskedUpdate:
         masks = channel_masks(start, [1, 0])
         grads = random_grads(start, np.random.default_rng(2))
         MaskedAdam(masked, masks, 1e-2).step(masked, grads)
-        MaskedAdam(plain, None, 1e-2).step(plain, grads)
+        MaskedAdam(plain, all_ones_masks(plain), 1e-2).step(plain, grads)
         for (a, mask), s, p in zip(per_channel(masked, masks), trained(start), trained(plain)):
             # retrained channels move exactly as the unmasked step moves them
             np.testing.assert_array_equal(a[mask == 1], p[mask == 1])
@@ -152,7 +154,7 @@ class TestMaskedUpdate:
         grads = random_grads(start, np.random.default_rng(3))
         masked, plain = start.copy(), start.copy()
         MaskedAdam(masked, masks, 1e-2, weight_decay=1e-5).step(masked, grads)
-        MaskedAdam(plain, None, 1e-2, weight_decay=1e-5).step(plain, grads)
+        MaskedAdam(plain, all_ones_masks(plain), 1e-2, weight_decay=1e-5).step(plain, grads)
         for (p, mask), s in zip(per_channel(plain, masks), trained(start)):
             p[mask == 0] = s[mask == 0]
         assert network_hash(masked) == network_hash(plain)
@@ -198,7 +200,7 @@ class TestMaskedBnUpdate:
         bn_a, bn_b = toy_net(seed=7), toy_net(seed=7)
         grads = random_grads(bn_a, rng)
         MaskedAdam(bn_a, channel_masks(bn_a, [1]), 1e-2).step(bn_a, grads)
-        MaskedAdam(bn_b, None, 1e-2).step(bn_b, grads)
+        MaskedAdam(bn_b, all_ones_masks(bn_b), 1e-2).step(bn_b, grads)
         for a, b in zip(bn_a.blocks, bn_b.blocks):
             if a.bn is not None:
                 np.testing.assert_array_equal(a.bn.gamma, b.bn.gamma)
@@ -241,7 +243,7 @@ class TestMaskedAdamMatchesPerLayerReference:
             masks = [rng.integers(0, 2, b.conv.out_channels).astype(np.uint8)
                      for b in net.blocks]
         flat, ref = net.copy(), net.copy()
-        opt = MaskedAdam(flat, masks, 1e-2, weight_decay)
+        opt = MaskedAdam(flat, masks or all_ones_masks(flat), 1e-2, weight_decay)
         oracle = PerLayerAdam(ref, masks, 1e-2, weight_decay)
         for _ in range(steps):
             grads = random_grads(net, rng)

@@ -234,6 +234,13 @@ class TestBackward:
             ]
             assert [a.shape for a in held] == [(8, 16, 24, 24)] * 2, i
 
+    def test_blocks_without_batchnorm_cache_no_conv_output(self):
+        # the backward reads a conv's output only through its batchnorm
+        net = build_network(NetworkConfig(depth=5, channels=16), seed=3)
+        x = np.random.default_rng(6).standard_normal((8, 3, 24, 24)).astype(np.float32)
+        _, caches = forward_train(net, x)
+        assert caches[0].conv_out is None and caches[-1].conv_out is None
+
     def test_input_gradient_of_first_block_is_not_computed(self, monkeypatch):
         calls = []
         grad_input = model.conv2d_grad_input

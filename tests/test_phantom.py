@@ -110,6 +110,13 @@ class TestSimulateScan:
         with pytest.raises(ValueError, match="nonnegative"):
             simulate_scan(np.full((1, 4, 4), -1.0), ScanProtocol(1.0, 1e5))
 
+    @pytest.mark.parametrize(
+        "sigma, budget", [(np.nan, 1e5), (np.inf, 1e5), (1.0, np.nan), (1.0, np.inf)]
+    )
+    def test_protocol_needs_finite_positive_values(self, sigma, budget):
+        with pytest.raises(ValueError, match="finite and positive"):
+            ScanProtocol(sigma, budget)
+
     def test_smaller_psf_gives_finer_noise_grain(self):
         truth = generate_phantom(body_spec())
         corrs = {}

@@ -272,10 +272,10 @@ class TestConfigValidation:
             TrainConfig(mode="finetune")
 
     def test_defaults_per_mode(self):
-        assert TrainConfig(mode="scratch").effective_epochs == 500
-        assert TrainConfig(mode="n2n_online").effective_epochs == 150
-        assert TrainConfig(mode="scratch").effective_lr == 1e-3
-        assert TrainConfig(mode="tgd_finetune").effective_lr == 1e-4
+        assert TrainConfig(mode="scratch").epochs == 500
+        assert TrainConfig(mode="n2n_online").epochs == 150
+        assert TrainConfig(mode="scratch").learning_rate == 1e-3
+        assert TrainConfig(mode="tgd_finetune").learning_rate == 1e-4
 
     def test_bad_values(self):
         with pytest.raises(ValueError):
