@@ -10,7 +10,7 @@ for scanner data so every experiment is reproducible from seeds.
 __version__ = "0.1.0"
 
 from .kse import KseConfig, KseReport, drop_kernels, kse_scores  # noqa: E402
-from .masking import MaskSet, build_masks, remask  # noqa: E402
+from .masking import MaskSet, build_masks  # noqa: E402
 from .model import (  # noqa: E402
     Network,
     NetworkConfig,
@@ -45,7 +45,6 @@ __all__ = [
     "kse_scores",
     "load_weights",
     "online_n2n",
-    "remask",
     "save_weights",
     "train_scratch",
 ]

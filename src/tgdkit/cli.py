@@ -136,7 +136,7 @@ def write_manifest(
 
 
 def write_run(
-    args, subcommand: str, resolved: dict, inputs: dict,
+    args, resolved: dict, inputs: dict,
     outputs: dict[str, tuple[str, str | Callable[[Path], None]]],
     message: Callable[[Path], str], wall_time_s: float | None = None,
 ) -> int:
@@ -144,14 +144,17 @@ def write_run(
     creates the out dir, writes every output and the manifest, and prints
     ``message(out)``. ``outputs`` maps each manifest output key to its file
     under the out dir and either the file's text or a writer called with
-    the file's path."""
+    the file's path. The manifest names the subcommand that ran."""
     digest = _config_hash(resolved)  # also rejects non-finite config values
     if args.out:
         out = Path(args.out)
     else:
         stamp = time.strftime("%Y%m%dT%H%M%S", time.gmtime())
-        out = Path("runs") / f"{subcommand}-{stamp}-{digest[:8]}"
-    out.mkdir(parents=True, exist_ok=True)
+        out = Path("runs") / f"{args.subcommand}-{stamp}-{digest[:8]}"
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as e:
+        raise ConfigError(f"cannot create output directory {out}: {e.strerror}") from e
     written = {}
     for key, (name, content) in outputs.items():
         written[key] = out / name
@@ -159,7 +162,7 @@ def write_run(
             written[key].write_text(content)
         else:
             content(written[key])
-    write_manifest(out, subcommand, resolved, inputs, written, wall_time_s)
+    write_manifest(out, args.subcommand, resolved, inputs, written, wall_time_s)
     print(message(out))
     return 0
 
@@ -184,6 +187,9 @@ SPELLINGS = {"phi": "kse_threshold", "freeze_last_layer": "last_layer_frozen"}
 
 
 def _train_config(cfg: dict, args, mode: str) -> TrainConfig:
+    for spelling, field_name in SPELLINGS.items():
+        if spelling in cfg and field_name in cfg:
+            raise ConfigError(f"config sets both {spelling} and {field_name}")
     kw = {SPELLINGS.get(k, k): v for k, v in given(cfg, TRAIN_FIELDS).items()}
     for flag in ("epochs", "seed", *SPELLINGS):
         if getattr(args, flag, None) is not None:
@@ -200,17 +206,11 @@ def _train_config(cfg: dict, args, mode: str) -> TrainConfig:
 
 def _study_at_level(args):
     """The command line's study and count level: ``--level``, else the
-    study's highest count level. The n2n halves and the "full" scan they
-    were split from are not count levels; a study without level metadata
-    falls back to its numerically largest realization key."""
+    study's highest count level, its numerically largest realization key.
+    The n2n halves and the "full" scan they were split from are not count
+    levels."""
     study = load_study(args.study)
-    level = args.level
-    if not level:
-        levels = study.metadata.get("levels")
-        if levels:
-            level = max(levels, key=lambda k: levels[k]["fraction"])
-        else:
-            level = max(filter(_is_number, study.realizations), key=float, default=None)
+    level = args.level or max(filter(_is_number, study.realizations), key=float, default=None)
     if level not in study.realizations:
         raise DataFileError(f"study has no count level {level!r}")
     return Path(args.study), study, level
@@ -292,7 +292,7 @@ def cmd_gen_data(args) -> int:
 
         outputs[f"study:{name}"] = (f"studies/{name}/study.json", write_study)
     return write_run(
-        args, "gen-data", resolved, {}, outputs, lambda out: f"dataset written to {out}"
+        args, resolved, {}, outputs, lambda out: f"dataset written to {out}"
     )
 
 
@@ -343,7 +343,7 @@ def cmd_training(args, mode: str) -> int:
         outputs["masks"] = ("masks.json", masks.to_json())
     digest = network_hash(net)[:12]
     return write_run(
-        args, name.replace("_", "-"), resolved, inputs, outputs,
+        args, resolved, inputs, outputs,
         lambda out: f"final weights {digest} -> {out}", record.wall_time_s,
     )
 
@@ -378,7 +378,7 @@ def cmd_kse_report(args) -> int:
         "thresholds": list(SWEEP_THRESHOLDS),
     }
     return write_run(
-        args, "kse-report", resolved, {"weights": Path(args.weights)},
+        args, resolved, {"weights": Path(args.weights)},
         {
             "kse_report": ("kse_report.json", report.to_json() + "\n"),
             "sweep": ("sweep.json", json_text({"sweep": sweep})),
@@ -422,7 +422,7 @@ def cmd_prune_eval(args) -> int:
         "thresholds": list(args.thresholds),
     }
     return write_run(
-        args, "prune-eval", resolved,
+        args, resolved,
         {"weights": Path(args.weights), "study": study_dir / "study.json"},
         {
             "report": ("prune_eval.json", json_text({"rows": rows})),
@@ -479,7 +479,7 @@ def cmd_evaluate(args) -> int:
         "level": level,
     }
     return write_run(
-        args, "evaluate", resolved,
+        args, resolved,
         {"weights": Path(args.weights), "study": study_dir / "study.json", "rois": rois_path},
         {
             "metrics": ("metrics.json", json_text(report)),

@@ -16,6 +16,7 @@ weights; scoring never mutates a network.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,8 +30,8 @@ class KseConfig:
     k_neighbors: int = 5
 
     def __post_init__(self):
-        if self.alpha < 0:
-            raise ValueError(f"alpha must be >= 0, got {self.alpha}")
+        if not 0 <= self.alpha < math.inf:  # NaN fails every comparison
+            raise ValueError(f"alpha must be finite and >= 0, got {self.alpha}")
         if self.k_neighbors < 1:
             raise ValueError(f"k_neighbors must be >= 1, got {self.k_neighbors}")
 
@@ -47,8 +48,7 @@ def density_metric(weights: np.ndarray, c: int, k: int) -> np.ndarray:
     """Per-kernel sum of Euclidean distances to its k nearest neighbors.
 
     Distances are over the flattened 3x3 kernels of channel c; k is clamped
-    to N-1. Ties at the k-th neighbor resolve to the lower kernel index,
-    which cannot change the returned sums but pins the neighbor sets.
+    to N-1.
     """
     n = weights.shape[0]
     if n < 2:
@@ -57,11 +57,7 @@ def density_metric(weights: np.ndarray, c: int, k: int) -> np.ndarray:
     diff = flat[:, None, :] - flat[None, :, :]
     dist = np.sqrt((diff**2).sum(axis=2))
     np.fill_diagonal(dist, np.inf)
-    kk = min(k, n - 1)
-    # stable sort keeps equal distances in index order
-    order = np.argsort(dist, axis=1, kind="stable")
-    rows = np.arange(n)[:, None]
-    return dist[rows, order[:, :kk]].sum(axis=1)
+    return np.sort(dist, axis=1)[:, : min(k, n - 1)].sum(axis=1)
 
 
 def kernel_entropy(weights: np.ndarray, c: int, config: KseConfig) -> float:

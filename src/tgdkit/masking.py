@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kse import KseConfig, KseReport, kse_scores
+from .kse import KseReport
 from .model import BlockGrads, Network, block_arrays, has_batchnorm, network_hash
 from .ops import BatchNormParams, BnStats
 
@@ -105,24 +105,6 @@ def build_masks(
             mask = (downstream < threshold).astype(np.uint8)
         conv_masks.append(mask)
     return MaskSet(conv_masks, float(threshold), report.source, generation)
-
-
-def remask(
-    net: Network,
-    threshold: float,
-    generation: int,
-    kse_config: KseConfig | None = None,
-    last_layer_frozen: bool = True,
-) -> MaskSet:
-    """Re-score the current weights and emit the next-generation mask set.
-
-    Used to chain retraining rounds: each round looks only at the weights as
-    they are now, with no memory of earlier masks.
-    """
-    report = kse_scores(net, kse_config)
-    return build_masks(
-        net, report, threshold, last_layer_frozen, generation=generation + 1
-    )
 
 
 def all_ones_masks(net: Network) -> list[np.ndarray]:

@@ -71,13 +71,11 @@ class TrainConfig:
             raise ValueError("epochs must be >= 0")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
-        if self.weight_decay < 0:
-            raise ValueError("weight_decay must be >= 0")
-        if self.kse_threshold is not None and (
-            not np.isfinite(self.kse_threshold) or self.kse_threshold < 0
-        ):
+        if not 0 < self.learning_rate < math.inf:  # NaN fails every comparison
+            raise ValueError("learning_rate must be finite and positive")
+        if not 0 <= self.weight_decay < math.inf:
+            raise ValueError("weight_decay must be finite and >= 0")
+        if self.kse_threshold is not None and not 0 <= self.kse_threshold < math.inf:
             raise ValueError("kse_threshold must be finite and >= 0")
 
 
@@ -205,14 +203,15 @@ def _fit(
     """The body of every protocol: train a copy of ``net`` and record the
     run. With a mask ``generation``, only the channels that pass the KSE
     masks at ``config.kse_threshold`` train; without one, all of them do (the
-    all-ones masks). The freeze contract is checked afterwards."""
+    all-ones masks). Zero epochs train nothing and return an unchanged copy.
+    The freeze contract is checked afterwards."""
     train_pairs, val_pairs = _resolve_pairs(dataset)
     if not train_pairs:
         raise ValueError("dataset is empty")
-    if config.epochs < 1:
-        raise ValueError(f"{config.mode} training needs epochs >= 1")
     masks = None
     if generation is not None:
+        if config.kse_threshold is None:
+            raise ValueError(f"{config.mode} training requires kse_threshold")
         masks = build_masks(
             net, kse_scores(net, config.kse), config.kse_threshold,
             config.last_layer_frozen, generation,
@@ -257,8 +256,6 @@ def finetune_tgd(
 ) -> tuple[Network, TrainRecord, MaskSet]:
     """Adapt a pre-trained net to new data, retraining only the channels
     whose downstream feature maps score below the KSE threshold."""
-    if config.kse_threshold is None:
-        raise ValueError("tgd fine-tuning requires kse_threshold")
     return _fit(net, config, dataset, generation)
 
 
@@ -270,23 +267,18 @@ def online_n2n(
     generation: int = 1,
 ) -> tuple[Network, TrainRecord]:
     """Masked fine-tuning on one study: each equal-count realization serves
-    as the other's target, so no clean reference is needed. epochs=0 is an
-    explicit no-op that returns an unchanged copy.
+    as the other's target, so no clean reference is needed.
 
     The realization labels are interchangeable: the pair is ordered
     canonically by content before training, so swapping the arguments gives
     a bit-identical trajectory.
     """
-    if config.kse_threshold is None:
-        raise ValueError("online adaptation requires kse_threshold")
     if realization_a.shape != realization_b.shape:
         raise ValueError(
             f"realization shapes differ: {realization_a.shape} vs {realization_b.shape}"
         )
     if realization_b.tobytes() < realization_a.tobytes():
         realization_a, realization_b = realization_b, realization_a
-    if config.epochs == 0:
-        return net.copy(), TrainRecord(asdict(config), [], None, 0.0, network_hash(net))
     pairs = [(realization_a, realization_b), (realization_b, realization_a)]
     tuned, record, _ = _fit(net, config, pairs, generation)
     return tuned, record

@@ -151,6 +151,22 @@ class TestTrain:
         assert "data error:" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    def test_zero_epochs_writes_seed_initialized_network(self, workspace, tmp_path):
+        argv = ["train", str(workspace / "train.json"), "--epochs", "0"]
+        assert main([*argv, "--out", str(tmp_path / "o")]) == 0
+        net = load_weights(tmp_path / "o" / "weights.tgdw")
+        assert network_hash(net) == network_hash(build_network(NetworkConfig(**NET), 2))
+
+    @pytest.mark.parametrize("out", ["file", "file/sub"])
+    def test_uncreatable_out_dir_is_config_error(self, workspace, tmp_path, capsys, out):
+        (tmp_path / "file").write_text("x")
+        argv = ["train", str(workspace / "train.json"), "--out", str(tmp_path / out)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"config error: cannot create output directory {tmp_path / out}" in err
+        assert [f.name for f in tmp_path.iterdir()] == ["file"]
+        assert (tmp_path / "file").read_text() == "x"
+
 
 class TestTgdFinetune:
     def test_phi_zero_keeps_weights_hash(self, workspace, tmp_path):
@@ -171,6 +187,20 @@ class TestTgdFinetune:
         assert network_hash(before) == network_hash(after)
         masks = json.loads((tmp_path / "o" / "masks.json").read_text())
         assert all(not any(m) for m in masks["conv_masks"])
+
+    def test_zero_epochs_keeps_input_net(self, workspace, tmp_path):
+        cfg = {
+            "dataset": str(workspace / "data" / "dataset"),
+            "weights": str(workspace / "base" / "weights.tgdw"),
+            "phi": 0.5,
+            "network": NET,
+        }
+        p = tmp_path / "ft.json"
+        p.write_text(json.dumps(cfg))
+        assert main(["tgd-finetune", str(p), "--epochs", "0", "--out", str(tmp_path / "o")]) == 0
+        before = load_weights(workspace / "base" / "weights.tgdw")
+        after = load_weights(tmp_path / "o" / "weights.tgdw")
+        assert network_hash(before) == network_hash(after)
 
     def test_missing_phi_is_config_error(self, workspace, tmp_path, capsys):
         cfg = {
@@ -549,14 +579,16 @@ class TestRunWriters:
         }
         for sub, argv in runs.items():
             assert main([sub, *argv, "--out", str(tmp_path / sub)]) == 0, sub
-        outs = [workspace / "data", workspace / "base"] + [tmp_path / s for s in runs]
-        for out in outs:
+        outs = {"gen-data": workspace / "data", "train": workspace / "base"}
+        outs.update((sub, tmp_path / sub) for sub in runs)
+        for sub, out in outs.items():
             for f in out.rglob("*.json"):
                 strict_json(f.read_text())
             for f in out.rglob("*.jsonl"):
                 for line in f.read_text().splitlines():
                     strict_json(line)
             manifest = strict_json((out / "manifest.json").read_text())
+            assert manifest["subcommand"] == sub
             for kind in ("inputs", "outputs"):
                 for key, entry in manifest[kind].items():
                     assert sha256_file(entry["path"]) == entry["sha256"], (out.name, key)
@@ -611,6 +643,22 @@ class TestMistypedConfig:
         assert main([sub, str(tmp_path / "c.json"), "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert "config error" in err and field.split(".")[-1] in err
+        assert not (tmp_path / "o").exists()
+
+
+class TestSpellings:
+    @pytest.mark.parametrize("spelling,field,a,b", [
+        ("phi", "kse_threshold", 0.3, 0.5),
+        ("freeze_last_layer", "last_layer_frozen", True, False),
+    ])
+    def test_field_under_both_spellings_is_config_error(
+        self, workspace, tmp_path, capsys, spelling, field, a, b
+    ):
+        cfg = n2n_config(workspace, **{spelling: a, field: b})
+        (tmp_path / "c.json").write_text(json.dumps(cfg))
+        assert main(["n2n", str(tmp_path / "c.json"), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and spelling in err and field in err
         assert not (tmp_path / "o").exists()
 
 

@@ -21,6 +21,13 @@ from oracles import (
 )
 
 
+class TestKseConfig:
+    @pytest.mark.parametrize("alpha", [float("nan"), float("inf")])
+    def test_non_finite_alpha_rejected(self, alpha):
+        with pytest.raises(ValueError, match="alpha"):
+            KseConfig(alpha=alpha)
+
+
 class TestKernelSparsity:
     def test_zero_weights(self):
         assert kernel_sparsity(np.zeros((3, 2, 3, 3)), 0) == 0.0

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from oracles import PerLayerAdam
 from tgdkit.kse import kse_scores
 from tgdkit.masking import (
-    MaskedAdam, MaskSet, all_ones_masks, build_masks, commit_running_stats, remask,
+    MaskedAdam, MaskSet, all_ones_masks, build_masks, commit_running_stats,
 )
 from tgdkit.model import (
     BlockGrads,
@@ -260,7 +260,7 @@ class TestRemask:
     def test_unchanged_weights_give_identical_masks(self):
         net = toy_net(seed=8)
         first = build_masks(net, kse_scores(net), 0.4, last_layer_frozen=True)
-        again = remask(net, 0.4, first.generation, last_layer_frozen=True)
+        again = build_masks(net, kse_scores(net), 0.4, True, first.generation + 1)
         assert again.generation == first.generation + 1
         for a, b in zip(first.conv_masks, again.conv_masks):
             np.testing.assert_array_equal(a, b)
@@ -273,7 +273,7 @@ class TestRemask:
             b.conv.weights = b.conv.weights + rng.standard_normal(
                 b.conv.weights.shape
             ).astype(np.float32)
-        second = remask(net, 0.5, first.generation)
+        second = build_masks(net, kse_scores(net), 0.5, True, first.generation + 1)
         diff = sum(
             int(np.sum(a != b)) for a, b in zip(first.conv_masks, second.conv_masks)
         )
@@ -286,7 +286,7 @@ class TestRemask:
         masks = build_masks(net, kse_scores(net), 0.3)
         gens = [masks.generation]
         for _ in range(3):
-            masks = remask(net, 0.3, masks.generation)
+            masks = build_masks(net, kse_scores(net), 0.3, True, masks.generation + 1)
             gens.append(masks.generation)
         assert gens == [1, 2, 3, 4]
 

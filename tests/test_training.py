@@ -189,6 +189,14 @@ class TestFinetuneTgd:
         if moved:  # retrained channels actually move
             assert network_hash(tuned) != network_hash(self.base)
 
+    def test_zero_epochs_returns_input_net(self):
+        cfg = TrainConfig(
+            mode="tgd_finetune", epochs=0, kse_threshold=0.5, network=TOY_NET,
+        )
+        tuned, rec, _ = finetune_tgd(self.base, cfg, self.ds_b)
+        assert network_hash(tuned) == network_hash(self.base)
+        assert rec.epoch_losses == [] and rec.final_hash == network_hash(self.base)
+
     def test_missing_threshold_rejected(self):
         cfg = TrainConfig(mode="tgd_finetune", epochs=1, network=TOY_NET)
         with pytest.raises(ValueError, match="kse_threshold"):
@@ -286,3 +294,9 @@ class TestConfigValidation:
             TrainConfig(kse_threshold=-0.5)
         with pytest.raises(ValueError):
             TrainConfig(epochs=-1)
+
+    @pytest.mark.parametrize("field", ["learning_rate", "weight_decay"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            TrainConfig(**{field: value})
