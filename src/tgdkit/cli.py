@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 import time
 from collections.abc import Callable
@@ -144,20 +145,24 @@ def write_run(
     creates the out dir, writes every output and the manifest, and prints
     ``message(out)``. ``outputs`` maps each manifest output key to its file
     under the out dir and either the file's text or a writer called with
-    the file's path. The manifest names the subcommand that ran."""
+    the file's path. The manifest names the subcommand that ran. An output
+    path that is an existing directory is a ConfigError before anything is
+    written."""
     digest = _config_hash(resolved)  # also rejects non-finite config values
     if args.out:
         out = Path(args.out)
     else:
         stamp = time.strftime("%Y%m%dT%H%M%S", time.gmtime())
         out = Path("runs") / f"{args.subcommand}-{stamp}-{digest[:8]}"
+    written = {key: out / name for key, (name, _) in outputs.items()}
+    for target in (*written.values(), out / "manifest.json"):
+        if os.path.isdir(target):
+            raise ConfigError(f"output {target} is a directory")
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as e:
         raise ConfigError(f"cannot create output directory {out}: {e.strerror}") from e
-    written = {}
-    for key, (name, content) in outputs.items():
-        written[key] = out / name
+    for key, (_, content) in outputs.items():
         if isinstance(content, str):
             written[key].write_text(content)
         else:
@@ -567,9 +572,24 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _check_out_dir(out: Path) -> None:
+    """Fail before a command's work when ``--out`` cannot become a
+    directory: the first existing path among it and its parents must be
+    one."""
+    for path in (out, *out.parents):
+        if os.path.exists(path):
+            if not os.path.isdir(path):
+                raise ConfigError(
+                    f"cannot create output directory {out}: {path} is not a directory"
+                )
+            return
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.out:
+            _check_out_dir(Path(args.out))
         return args.func(args)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)

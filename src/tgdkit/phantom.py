@@ -7,7 +7,10 @@ voxel, then smooths with an in-plane Gaussian PSF and rescales back to
 activity units. Smoothing after the draw is what gives the noise its spatial
 correlation: a wider PSF means coarser noise grain, which is exactly the
 property a denoiser keys on. Every random draw flows from an explicit seed,
-so a manifest reproduces a dataset byte for byte.
+so a manifest reproduces a dataset byte for byte. The Gaussian (PSF and
+texture) reproduces SciPy's ``ndimage.gaussian_filter`` (reflect mode,
+truncated at 4 sigma) bit for bit, so manifests written when tgdkit used
+SciPy regenerate the same bytes.
 """
 
 from __future__ import annotations
@@ -19,7 +22,6 @@ from pathlib import Path
 from typing import get_args, get_origin
 
 import numpy as np
-from scipy.ndimage import gaussian_filter
 
 # fractions of the full count budget used for noise-adaptive training inputs
 # (short acquisitions vs. the full-length target)
@@ -144,6 +146,35 @@ def _shapes(spec: PhantomSpec):
     return ellipse, disk
 
 
+def _gaussian_blur(x: np.ndarray, sigma: float) -> np.ndarray:
+    """Smooth each slice of a float64 [S, H, W] stack with a Gaussian of
+    width ``sigma``, equal bit for bit to SciPy's
+    ``gaussian_filter(x, (0, sigma, sigma))``.
+
+    The kernel has radius ``int(4 sigma + 0.5)`` and SciPy's normalized
+    weights. Borders reflect (``d c b a | a b c d | d c b a``, repeated when
+    the radius exceeds the axis). H is filtered, then W, and each output
+    adds its centre tap first, then the tap pairs from the outermost in,
+    the order SciPy's ``correlate1d`` sums them in.
+    """
+    radius = int(4.0 * sigma + 0.5)
+    if radius == 0:  # a one-tap kernel is the identity; sigma**2 may underflow
+        return x
+    taps = np.arange(-radius, radius + 1)
+    weights = np.exp(-0.5 / (sigma * sigma) * taps**2)
+    weights = weights / weights.sum()
+    for axis in (1, 2):
+        n = x.shape[axis]
+        fold = np.arange(-radius, n + radius) % (2 * n)
+        padded = np.moveaxis(x, axis, 0)[np.minimum(fold, 2 * n - 1 - fold)]
+        out = padded[radius:radius + n] * weights[radius]
+        for k in range(radius, 0, -1):
+            left, right = padded[radius - k:radius - k + n], padded[radius + k:radius + k + n]
+            out += (left + right) * weights[radius + k]
+        x = np.moveaxis(out, 0, axis)
+    return np.ascontiguousarray(x)
+
+
 def generate_phantom(spec: PhantomSpec) -> np.ndarray:
     """Rasterize the spec into an [S, H, W] activity stack (float32).
 
@@ -160,7 +191,7 @@ def generate_phantom(spec: PhantomSpec) -> np.ndarray:
     if spec.ellipses:
         rng = np.random.default_rng(spec.seed)
         noise = rng.standard_normal(vol.shape)
-        texture = gaussian_filter(noise, sigma=(0.0, TEXTURE_SMOOTHING, TEXTURE_SMOOTHING))
+        texture = _gaussian_blur(noise, TEXTURE_SMOOTHING)
         peak = np.abs(texture).max()
         if peak > 0:
             vol *= 1.0 + TEXTURE_AMPLITUDE * texture / peak
@@ -190,9 +221,7 @@ def simulate_counts(
 def _image_from_counts(counts: np.ndarray, scale: float, psf_sigma: float) -> np.ndarray:
     if scale == 0.0:
         return np.zeros(counts.shape, dtype=np.float32)
-    smoothed = gaussian_filter(
-        counts.astype(np.float64), sigma=(0.0, psf_sigma, psf_sigma)
-    )
+    smoothed = _gaussian_blur(counts.astype(np.float64), psf_sigma)
     return (smoothed / scale).astype(np.float32)
 
 

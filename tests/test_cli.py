@@ -1,7 +1,10 @@
 """End-to-end CLI tests: exit codes, manifests, reproducibility."""
 
 import json
+import os
 import shutil
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -10,6 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tgdkit
+from tgdkit import cli
 from tgdkit.cli import main, sha256_file
 from tgdkit.model import NetworkConfig, build_network, load_weights, network_hash, save_weights
 from tgdkit.phantom import ScanProtocol, Study, save_study
@@ -101,6 +106,35 @@ class TestGenData:
         assert not list(tmp_path.rglob("dataset.json"))
         assert not list(tmp_path.rglob("study.json"))
 
+    def test_runs_without_scipy(self, workspace, tmp_path):
+        """numpy is the only runtime dependency: with scipy unimportable the
+        CLI imports, and gen-data writes the same dataset and study bytes."""
+        script = (
+            "import sys\n"
+            "sys.modules['scipy'] = None  # every scipy import now fails\n"
+            "from tgdkit import cli\n"
+            "sys.exit(cli.main(sys.argv[1:]))\n"
+        )
+        src = str(Path(tgdkit.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        argv = ["gen-data", str(gen_config(tmp_path)), "--out", str(tmp_path / "o")]
+        run = subprocess.run(
+            [sys.executable, "-c", script, *argv], env=env, capture_output=True,
+            text=True, timeout=300,
+        )
+        assert run.returncode == 0, run.stderr
+
+        def files(root):
+            return {
+                p.relative_to(root): p.read_bytes()
+                for p in root.rglob("*") if p.is_file() and p.name != "manifest.json"
+            }
+
+        expected = files(workspace / "data")
+        assert (Path("dataset") / "dataset.json") in expected
+        assert files(tmp_path / "o") == expected
+
 
 class TestTrain:
     def test_weights_and_record_written(self, workspace):
@@ -158,7 +192,13 @@ class TestTrain:
         assert network_hash(net) == network_hash(build_network(NetworkConfig(**NET), 2))
 
     @pytest.mark.parametrize("out", ["file", "file/sub"])
-    def test_uncreatable_out_dir_is_config_error(self, workspace, tmp_path, capsys, out):
+    def test_uncreatable_out_dir_is_config_error(
+        self, workspace, tmp_path, capsys, monkeypatch, out
+    ):
+        def never(*args, **kwargs):
+            raise AssertionError("trained although --out cannot be a directory")
+
+        monkeypatch.setattr(cli, "train_scratch", never)  # fail before the work
         (tmp_path / "file").write_text("x")
         argv = ["train", str(workspace / "train.json"), "--out", str(tmp_path / out)]
         assert main(argv) == 2
@@ -166,6 +206,19 @@ class TestTrain:
         assert f"config error: cannot create output directory {tmp_path / out}" in err
         assert [f.name for f in tmp_path.iterdir()] == ["file"]
         assert (tmp_path / "file").read_text() == "x"
+
+
+class TestRunTargets:
+    @pytest.mark.parametrize("name", ["kse_report.json", "sweep.json", "manifest.json"])
+    def test_output_that_is_a_directory_is_config_error(
+        self, workspace, tmp_path, capsys, name
+    ):
+        out = tmp_path / "o"
+        (out / name).mkdir(parents=True)
+        argv = ["kse-report", str(workspace / "base" / "weights.tgdw"), "--out", str(out)]
+        assert main(argv) == 2
+        assert f"config error: output {out / name} is a directory" in capsys.readouterr().err
+        assert [p.name for p in out.iterdir()] == [name]
 
 
 class TestTgdFinetune:

@@ -10,6 +10,7 @@ from tgdkit.phantom import (
     Lesion,
     PhantomSpec,
     ScanProtocol,
+    _gaussian_blur,
     background_voxels,
     build_dataset,
     generate_phantom,
@@ -66,6 +67,19 @@ class TestGeneratePhantom:
     def test_negative_intensity_rejected(self):
         with pytest.raises(ValueError, match="intensity"):
             PhantomSpec(16, 16, 3, (Ellipse((8, 8), (4, 4), -1.0),))
+
+
+class TestGaussianBlur:
+    # below sigma 0.125 the kernel is one tap; at 1e-200 sigma**2 underflows
+    @pytest.mark.parametrize("sigma", [1e-200, 0.1, 0.8, 1.5, 4.0])
+    # at sigma 4 the radius (16) exceeds both axes of the two small shapes
+    @pytest.mark.parametrize("shape", [(3, 5, 5), (3, 12, 12), (5, 128, 128)])
+    @pytest.mark.parametrize("counts", [False, True])
+    def test_bit_identical_to_scipy(self, sigma, shape, counts):
+        rng = np.random.default_rng(11)
+        x = rng.poisson(4.0, shape).astype(np.float64) if counts else rng.standard_normal(shape)
+        expected = gaussian_filter(x, (0, sigma, sigma))
+        assert _gaussian_blur(x, sigma).tobytes() == expected.tobytes()
 
 
 class TestSimulateScan:
