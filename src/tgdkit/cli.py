@@ -39,6 +39,7 @@ from .metrics import (
 )
 from .model import (
     NetworkConfig,
+    NonFiniteOutputError,
     WeightFileError,
     denoise_volume,
     load_weights,
@@ -594,7 +595,7 @@ def main(argv=None) -> int:
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
-    except (DataFileError, WeightFileError, NonFiniteLossError) as e:
+    except (DataFileError, WeightFileError, NonFiniteLossError, NonFiniteOutputError) as e:
         print(f"data error: {e}", file=sys.stderr)
         return 3
     except ValueError as e:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Network, network_hash
+from .model import Network, NonFiniteOutputError, network_hash
 
 
 @dataclass(frozen=True)
@@ -131,7 +131,8 @@ def kse_scores(net: Network, config: KseConfig | None = None) -> KseReport:
     """Score every conv layer's input channels; normalization is per layer.
 
     Constant raw sequences normalize to all zeros, so a layer whose channels
-    are indistinguishable gets uniformly minimal scores.
+    are indistinguishable gets uniformly minimal scores. A non-finite raw
+    score (huge weights overflow float32) raises NonFiniteOutputError.
     """
     config = config or KseConfig()
     if not net.blocks:
@@ -142,6 +143,8 @@ def kse_scores(net: Network, config: KseConfig | None = None) -> KseReport:
         c_in = w.shape[1]
         s = np.array([kernel_sparsity(w, c) for c in range(c_in)])
         e = np.array([kernel_entropy(w, c, config) for c in range(c_in)])
+        if not (np.isfinite(s).all() and np.isfinite(e).all()):
+            raise NonFiniteOutputError(f"layer {i} has non-finite raw KSE scores")
         s_n = _minmax(s)
         kse = np.sqrt(s_n / (1.0 + config.alpha * _minmax(e)))
         layers.append(LayerKse(i, s, e, s_n, kse))

@@ -6,11 +6,9 @@ the kernels of layer i-1 that produce a redundant input of layer i are the
 ones allowed to move. Masks act only on the update path; the forward pass
 never sees them.
 
-Every persisted array of a block (conv weight and bias, batchnorm gamma,
-beta, running mean and running variance) has the block's output channel on
-axis 0, so a block's one conv mask covers all of them. The optimizer step is
-a single flat Adam update over every trained array of the network, with the
-masks expanded once into a keep-vector over the same layout. An unmasked
+A block's one conv mask covers every array ``model.array_table`` lists for
+it. The optimizer step is a single flat Adam update over the trained arrays,
+with the masks expanded once into a keep-vector along the table. An unmasked
 run is the all-ones mask and takes the same path.
 
 The freeze contract is exact: a frozen channel's weights, bias, batchnorm
@@ -27,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kse import KseReport
-from .model import BlockGrads, Network, block_arrays, has_batchnorm, network_hash
+from .model import Network, has_batchnorm, network_arrays, network_hash
 from .ops import BatchNormParams, BnStats
 
 
@@ -120,13 +118,12 @@ ADAM_EPS = 1e-8
 class MaskedAdam:
     """Adam over every trained array of a network as one flat vector.
 
-    The arrays are laid out block by block in ``block_arrays`` order. Each has
-    its block's output channel on axis 0, so a block's conv mask expands into
-    whole channel runs of every array (conv weight and bias, BN gamma and
-    beta) and one keep-vector freezes them all. Weight decay covers the conv
-    entries only. The flat moments live here; the network keeps its own
-    arrays and each step writes into them in place. An unmasked run passes
-    ``all_ones_masks(net)``.
+    The arrays are laid out along ``model.array_table(trained_only=True)``,
+    so a block's conv mask expands into whole channel runs of each of its
+    arrays and one keep-vector freezes them all. Weight decay covers the
+    conv entries only. The flat moments live here; the network keeps its
+    own arrays and each step writes into them in place. An unmasked run
+    passes ``all_ones_masks(net)``.
     """
 
     def __init__(
@@ -139,17 +136,16 @@ class MaskedAdam:
         if len(conv_masks) != net.depth:
             raise ValueError(f"{len(conv_masks)} masks for {net.depth} blocks")
         keep, decay, sizes = [], [], []
-        for i, (blk, mask) in enumerate(zip(net.blocks, conv_masks)):
-            if len(mask) != blk.conv.out_channels:
+        for i, name, arr in network_arrays(net, trained_only=True):
+            mask = conv_masks[i]
+            if len(mask) != len(arr):
                 raise ValueError(
-                    f"mask length {len(mask)} != output channels "
-                    f"{blk.conv.out_channels} in block {i}"
+                    f"mask length {len(mask)} != output channels {len(arr)} in block {i}"
                 )
-            for name, arr in block_arrays(blk, trained_only=True):
-                sizes.append(arr.size)
-                keep.append(np.repeat(mask == 0, arr.size // len(mask)))
-                wd = weight_decay if name.startswith("conv.") else 0.0
-                decay.append(np.full(arr.size, wd, arr.dtype))
+            sizes.append(arr.size)
+            keep.append(np.repeat(mask == 0, arr.size // len(mask)))
+            wd = weight_decay if name.startswith("conv.") else 0.0
+            decay.append(np.full(arr.size, wd, arr.dtype))
         self.lr = lr
         self.t = 0
         self.offsets = np.cumsum(sizes)[:-1]
@@ -158,13 +154,14 @@ class MaskedAdam:
         self.m = np.zeros(sum(sizes), np.float32)
         self.v = np.zeros_like(self.m)
 
-    def step(self, net: Network, grads: list[BlockGrads]) -> None:
-        """One Adam step. Where ``keep`` is true the parameter and both
-        moments are carried through unchanged (the moments must not even
-        decay, or a later unfreeze would apply stale momentum)."""
-        params = [a for blk in net.blocks for _, a in block_arrays(blk, trained_only=True)]
+    def step(self, net: Network, grads: list[np.ndarray]) -> None:
+        """One Adam step on ``model.backward``'s table-order gradients. Where
+        ``keep`` is true the parameter and both moments are carried through
+        unchanged (the moments must not even decay, or a later unfreeze
+        would apply stale momentum)."""
+        params = [a for _, _, a in network_arrays(net, trained_only=True)]
         p = np.concatenate([a.ravel() for a in params])
-        g = np.concatenate([a.ravel() for bg in grads for a in bg.arrays()]) + self.decay * p
+        g = np.concatenate([a.ravel() for a in grads]) + self.decay * p
         self.t += 1
         m = ADAM_BETA1 * self.m + (1.0 - ADAM_BETA1) * g
         v = ADAM_BETA2 * self.v + (1.0 - ADAM_BETA2) * g * g

@@ -57,6 +57,10 @@ class ShapeMismatchError(WeightFileError):
     pass
 
 
+class NonFiniteOutputError(ArithmeticError):
+    """Finite weights overflowed float32 into a non-finite output or KSE score."""
+
+
 @dataclass(frozen=True)
 class NetworkConfig:
     depth: int = 8
@@ -102,57 +106,83 @@ def has_batchnorm(index: int, depth: int) -> bool:
     return 0 < index < depth - 1
 
 
-def build_network(config: NetworkConfig, seed: int, version_tag: str = "") -> Network:
-    """Deterministically initialize a network from a seed.
+# committed by masking.commit_running_stats each step, not stepped by the optimizer
+COMMITTED = ("bn.running_mean", "bn.running_var")
 
-    Conv weights are He fan-in normal, biases zero, batchnorm starts at
-    gamma=1 / beta=0 with unit running variance.
+
+def array_table(config: NetworkConfig, trained_only: bool = False):
+    """Yield (block, name, shape) of every array a network of ``config``
+    persists, in weight-file order: the one description of the layout.
+
+    A name is ``<part>.<field>`` of the block's ``conv`` or ``bn``. Every
+    array has the block's output channel on axis 0, so one per-channel mask
+    covers them all. ``trained_only`` leaves out the COMMITTED arrays.
     """
-    rng = np.random.default_rng(seed)
-    d, ch, sl = config.depth, config.channels, config.input_slices
-    blocks: list[Block] = []
+    d, ch = config.depth, config.channels
     for i in range(d):
-        c_in = sl if i == 0 else ch
+        c_in = config.input_slices if i == 0 else ch
         c_out = 1 if i == d - 1 else ch
-        std = np.sqrt(2.0 / (c_in * 9))
-        weights = (rng.standard_normal((c_out, c_in, 3, 3)) * std).astype(np.float32)
-        interior = has_batchnorm(i, d)
-        bias = None if interior else np.zeros(c_out, dtype=np.float32)
-        bn = None
-        if interior:
-            bn = BatchNormParams(
-                gamma=np.ones(c_out, dtype=np.float32),
-                beta=np.zeros(c_out, dtype=np.float32),
-                running_mean=np.zeros(c_out, dtype=np.float32),
-                running_var=np.ones(c_out, dtype=np.float32),
-            )
-        blocks.append(Block(ConvParams(weights, bias), bn, relu=i < d - 1))
+        yield i, "conv.weight", (c_out, c_in, 3, 3)
+        if has_batchnorm(i, d):
+            names = ("bn.gamma", "bn.beta", "bn.running_mean", "bn.running_var")
+        else:
+            names = ("conv.bias",)
+        for name in names:
+            if not (trained_only and name in COMMITTED):
+                yield i, name, (c_out,)
+
+
+def _field(name: str) -> tuple[str, str]:
+    """A table name's (block attribute, params field)."""
+    part, field = name.split(".")
+    return part, "weights" if field == "weight" else field
+
+
+def network_arrays(net: Network, trained_only: bool = False):
+    """Yield (block, name, array) along ``net``'s array table, read through
+    the blocks on every walk, so a rebound block field is seen."""
+    for i, name, _ in array_table(net.config, trained_only):
+        part, field = _field(name)
+        yield i, name, getattr(getattr(net.blocks[i], part), field)
+
+
+def _assemble(config: NetworkConfig, arrays: list, version_tag: str) -> Network:
+    """Group arrays in table order into blocks; a rejected value names its block."""
+    parts = [{"conv": {}, "bn": {}} for _ in range(config.depth)]
+    for (i, name, _), arr in zip(array_table(config), arrays):
+        part, field = _field(name)
+        parts[i][part][field] = arr
+    blocks = []
+    for i, p in enumerate(parts):
+        try:
+            bn = BatchNormParams(**p["bn"]) if p["bn"] else None
+        except ValueError as e:
+            raise ValueError(f"block{i:02d}.bn: {e}") from e
+        blocks.append(Block(ConvParams(**p["conv"]), bn, relu=i < config.depth - 1))
     return Network(blocks, config, version_tag)
 
 
-def block_arrays(block: Block, trained_only: bool = False) -> list[tuple[str, np.ndarray]]:
-    """A block's persisted arrays in file order, with stable names.
+def build_network(config: NetworkConfig, seed: int, version_tag: str = "") -> Network:
+    """Deterministically initialize a network from a seed.
 
-    Every one of them has the block's output channel on axis 0, so one
-    per-channel mask covers them all. ``trained_only`` leaves out the
-    batchnorm running statistics, which are committed, not stepped.
+    Conv weights are He fan-in normal, drawn in table order; biases are
+    zero, batchnorm starts at gamma=1 / beta=0 with unit running variance.
     """
-    items = [("conv.weight", block.conv.weights)]
-    if block.conv.bias is not None:
-        items.append(("conv.bias", block.conv.bias))
-    if block.bn is not None:
-        items += [("bn.gamma", block.bn.gamma), ("bn.beta", block.bn.beta)]
-        if not trained_only:
-            items += [
-                ("bn.running_mean", block.bn.running_mean),
-                ("bn.running_var", block.bn.running_var),
-            ]
-    return items
+    rng = np.random.default_rng(seed)
+    arrays = []
+    for _, name, shape in array_table(config):
+        if name == "conv.weight":
+            std = np.sqrt(2.0 / (shape[1] * 9))
+            arrays.append((rng.standard_normal(shape) * std).astype(np.float32))
+        else:
+            fill = 1.0 if name in ("bn.gamma", "bn.running_var") else 0.0
+            arrays.append(np.full(shape, fill, np.float32))
+    return _assemble(config, arrays, version_tag)
 
 
 def num_parameters(net: Network) -> int:
     """Trainable parameter count (weights, biases, gamma, beta)."""
-    return sum(a.size for b in net.blocks for _, a in block_arrays(b, trained_only=True))
+    return sum(a.size for _, _, a in network_arrays(net, trained_only=True))
 
 
 @dataclass
@@ -168,7 +198,7 @@ def _check_input(net: Network, x: np.ndarray) -> None:
             f"input must be [B, {net.config.input_slices}, H, W], got {x.shape}"
         )
     if x.shape[2] < 3 or x.shape[3] < 3:
-        raise ValueError(f"spatial size must be >= 3x3, got {x.shape[2:]} ")
+        raise ValueError(f"spatial size must be >= 3x3, got {x.shape[2:]}")
 
 
 def _run(
@@ -218,50 +248,37 @@ def forward_train(
     return _run(net, x, "train", ws, want_cache=True)
 
 
-@dataclass
-class BlockGrads:
-    weights: np.ndarray
-    bias: np.ndarray | None
-    gamma: np.ndarray | None
-    beta: np.ndarray | None
-
-    def arrays(self) -> list[np.ndarray]:
-        """The gradients in ``block_arrays(block, trained_only=True)`` order."""
-        return [g for g in (self.weights, self.bias, self.gamma, self.beta) if g is not None]
-
-
 def backward(
     net: Network,
     caches: list[BlockCache],
     grad_y: np.ndarray,
     ws: ConvWorkspace | None = None,
-) -> list[BlockGrads]:
+) -> list[np.ndarray]:
     """Backprop grad_y (d loss / d output) through a cached train-mode forward.
 
-    Returns per-block parameter gradients; the residual branch contributes
-    nothing to any parameter so it is simply dropped, and neither does the
-    gradient wrt the network input, so it is never computed. ``ws`` is as
-    in :func:`forward_train`.
+    Returns the trained arrays' gradients in ``array_table`` order. Neither
+    the residual branch nor the gradient wrt the network input reaches a
+    parameter, so neither is computed. ``ws`` is as in :func:`forward_train`.
     """
     if len(caches) != len(net.blocks):
         raise ValueError("cache/block count mismatch; run forward with want_cache=True")
-    grads: list[BlockGrads] = [None] * len(net.blocks)  # type: ignore[list-item]
+    grads: dict[tuple[int, str], np.ndarray] = {}
     g = grad_y
     for i in range(len(net.blocks) - 1, -1, -1):
         block, cache = net.blocks[i], caches[i]
         if block.relu:
             # its output, the next block's input, is > 0 where its input was
             g = relu_backward(caches[i + 1].x, g)
-        g_gamma = g_beta = None
         if block.bn is not None:
-            g, g_gamma, g_beta = batchnorm_backward(
+            g, grads[i, "bn.gamma"], grads[i, "bn.beta"] = batchnorm_backward(
                 cache.conv_out, block.bn, cache.bn_stats, g
             )
-        g_w, g_b = conv2d_backward(cache.x, block.conv, g, ws)
-        grads[i] = BlockGrads(g_w, g_b, g_gamma, g_beta)
+        grads[i, "conv.weight"], grads[i, "conv.bias"] = conv2d_backward(
+            cache.x, block.conv, g, ws
+        )
         if i > 0:
             g = conv2d_grad_input(block.conv, g, ws)
-    return grads
+    return [grads[i, name] for i, name, _ in array_table(net.config, trained_only=True)]
 
 
 def denoise_volume(net: Network, volume: np.ndarray) -> np.ndarray:
@@ -269,11 +286,14 @@ def denoise_volume(net: Network, volume: np.ndarray) -> np.ndarray:
 
     Each output slice sees ``input_slices`` consecutive slices centered on
     it; the edge slices are replicated so the output keeps the input depth.
+    A non-finite output voxel raises NonFiniteOutputError.
     """
     if volume.ndim != 3:
         raise ValueError(f"volume must be [S, H, W], got {volume.shape}")
     batch = volume_to_samples(volume, net.config.input_slices)
     out = forward(net, batch.astype(np.float32, copy=False), "infer")
+    if not np.isfinite(out).all():
+        raise NonFiniteOutputError("non-finite values in the denoised volume")
     return out[:, 0]
 
 
@@ -287,12 +307,8 @@ def volume_to_samples(volume: np.ndarray, input_slices: int) -> np.ndarray:
 
 
 def _param_arrays(net: Network) -> list[tuple[str, np.ndarray]]:
-    """All persisted arrays in declaration order, with stable names."""
-    return [
-        (f"block{i:02d}.{name}", arr)
-        for i, b in enumerate(net.blocks)
-        for name, arr in block_arrays(b)
-    ]
+    """All persisted arrays in file order, with their file names."""
+    return [(f"block{i:02d}.{name}", arr) for i, name, arr in network_arrays(net)]
 
 
 def network_hash(net: Network) -> str:
@@ -307,21 +323,14 @@ def network_hash(net: Network) -> str:
 
 def save_weights(net: Network, path) -> None:
     """Write the little-endian binary weight file (magic, config, shape
-    table, then raw float32 arrays in declaration order)."""
+    table, then raw float32 arrays in file order)."""
     items = _param_arrays(net)
     tag = net.version_tag.encode()
+    c = net.config
+    header = (WEIGHT_VERSION, c.depth, c.channels, c.input_slices, len(tag))
     with open(path, "wb") as f:
         f.write(WEIGHT_MAGIC)
-        f.write(
-            struct.pack(
-                "<IIIII",
-                WEIGHT_VERSION,
-                net.config.depth,
-                net.config.channels,
-                net.config.input_slices,
-                len(tag),
-            )
-        )
+        f.write(struct.pack("<IIIII", *header))
         f.write(tag)
         f.write(struct.pack("<I", len(items)))
         for name, arr in items:
@@ -338,11 +347,11 @@ def load_weights(path, expect: NetworkConfig | None = None) -> Network:
     """Read a weight file back into a Network; round-trips bit-exactly.
 
     The array table is checked once, against ``expect`` (the config the
-    caller requires) or else the header's config, before any data is read
-    or any network is built; the first array that disagrees is named in
-    the error. Every declared length is bounded by the bytes left in the
-    file. An unreadable file, a corrupt header or name, non-finite data or
-    trailing bytes raise WeightFileError too.
+    caller requires) or else the header's config, before any data is read;
+    the first array that disagrees is named in the error. Every declared
+    length is bounded by the bytes left in the file. The blocks get float32
+    copies. An unreadable file, a corrupt header or name, non-finite data, a
+    non-positive running variance or trailing bytes raise WeightFileError.
     """
     try:
         with open(path, "rb") as f:
@@ -387,36 +396,20 @@ def load_weights(path, expect: NetworkConfig | None = None) -> Network:
         arr = np.frombuffer(take(4 * math.prod(shape), f"data of {name}"), dtype="<f4")
         if not np.isfinite(arr).all():
             raise WeightFileError(f"non-finite values in {name}")
-        arrays.append(arr.reshape(shape))
+        arrays.append(arr.reshape(shape).astype(np.float32))
     if pos != len(buf):
         raise WeightFileError(f"{len(buf) - pos} trailing bytes after the weight data")
-
-    net = build_network(config, seed=0, version_tag=tag)
-    for (_, own), arr in zip(_param_arrays(net), arrays):
-        own[...] = arr
-    return net
-
-
-def _array_table(config: NetworkConfig):
-    """Yield (name, shape) of every array a network of ``config`` persists,
-    in file order, without building the network."""
-    d, ch = config.depth, config.channels
-    for i in range(d):
-        c_in = config.input_slices if i == 0 else ch
-        c_out = 1 if i == d - 1 else ch
-        yield f"block{i:02d}.conv.weight", (c_out, c_in, 3, 3)
-        if has_batchnorm(i, d):
-            names = ("bn.gamma", "bn.beta", "bn.running_mean", "bn.running_var")
-        else:
-            names = ("conv.bias",)
-        for name in names:
-            yield f"block{i:02d}.{name}", (c_out,)
+    try:
+        return _assemble(config, arrays, tag)
+    except ValueError as e:  # a non-positive running variance
+        raise WeightFileError(f"invalid weight values: {e}") from e
 
 
 def _check_table(table, config: NetworkConfig) -> None:
     """Match a file's array table entry by entry against ``config``'s; the
     first disagreement ends the walk, so a huge config is never expanded."""
-    for have, want in itertools.zip_longest(table, _array_table(config)):
+    expected = ((f"block{i:02d}.{n}", shape) for i, n, shape in array_table(config))
+    for have, want in itertools.zip_longest(table, expected):
         if have != want:
             raise ShapeMismatchError(
                 f"shape mismatch at {(want or have)[0]}: file has {have}, expected {want}"

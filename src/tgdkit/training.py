@@ -29,10 +29,10 @@ from .model import (
     Network,
     NetworkConfig,
     backward,
-    block_arrays,
     build_network,
     denoise_volume,
     forward_train,
+    network_arrays,
     network_hash,
     volume_to_samples,
 )
@@ -244,11 +244,10 @@ def train_scratch(
 
 def _assert_frozen_exact(before: Network, after: Network, conv_masks: list) -> None:
     """Hard internal check of the freeze contract after a full run."""
-    for i, (ba, bb, mask) in enumerate(zip(before.blocks, after.blocks, conv_masks)):
-        frozen = mask == 0
-        for (name, a), (_, b) in zip(block_arrays(ba), block_arrays(bb)):
-            if not np.array_equal(a[frozen], b[frozen]):
-                raise RuntimeError(f"frozen {name} moved in block {i}")
+    for (i, name, a), (_, _, b) in zip(network_arrays(before), network_arrays(after)):
+        frozen = conv_masks[i] == 0
+        if not np.array_equal(a[frozen], b[frozen]):
+            raise RuntimeError(f"frozen {name} moved in block {i}")
 
 
 def finetune_tgd(

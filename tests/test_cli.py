@@ -487,6 +487,33 @@ class TestEvaluate:
         ]) == 2
 
 
+class TestWeightValues:
+    """Finite weight files whose values the network cannot run on."""
+
+    def run(self, workspace, tmp_path, command, weights):
+        study = [] if command == "kse-report" else [str(workspace / "data" / "studies" / "probe")]
+        return main([command, str(weights), *study, "--out", str(tmp_path / "o")])
+
+    @pytest.mark.parametrize("value", [0.0, -1.0])
+    def test_non_positive_running_variance_exit_3(self, workspace, tmp_path, capsys, value):
+        net = build_network(NetworkConfig(**NET), seed=0)
+        net.blocks[1].bn.running_var[0] = value
+        save_weights(net, tmp_path / "bad.tgdw")
+        assert self.run(workspace, tmp_path, "evaluate", tmp_path / "bad.tgdw") == 3
+        assert "block01.bn: running_var" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["evaluate", "prune-eval", "kse-report"])
+    def test_weights_that_overflow_float32_exit_3(self, workspace, tmp_path, capsys, command):
+        net = build_network(NetworkConfig(**NET), seed=0)
+        net.blocks[0].conv.weights[:] = 3e38
+        save_weights(net, tmp_path / "huge.tgdw")
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert self.run(workspace, tmp_path, command, tmp_path / "huge.tgdw") == 3
+        assert "non-finite" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+
 def edit_json(path, change):
     doc = json.loads(path.read_text())
     change(doc)

@@ -1,5 +1,7 @@
 """Mask construction and the exactness of the masked update path."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,12 +13,12 @@ from tgdkit.masking import (
     MaskedAdam, MaskSet, all_ones_masks, build_masks, commit_running_stats,
 )
 from tgdkit.model import (
-    BlockGrads,
     NetworkConfig,
+    array_table,
     backward,
-    block_arrays,
     build_network,
     forward_train,
+    network_arrays,
     network_hash,
 )
 
@@ -80,18 +82,23 @@ class TestBuildMasks:
 
 
 def random_grads(net, rng):
-    def like(a):
-        return rng.standard_normal(a.shape).astype(np.float32)
+    """Random gradients for the trained arrays, in table order."""
+    return [rng.standard_normal(a.shape).astype(np.float32) for a in trained(net)]
 
-    return [
-        BlockGrads(
-            like(b.conv.weights),
-            None if b.conv.bias is None else like(b.conv.bias),
-            None if b.bn is None else like(b.bn.gamma),
-            None if b.bn is None else like(b.bn.beta),
-        )
-        for b in net.blocks
-    ]
+
+# table name -> the field PerLayerAdam reads off a block's gradients
+ORACLE_FIELDS = {"conv.weight": "weights", "conv.bias": "bias", "bn.gamma": "gamma",
+                 "bn.beta": "beta"}
+
+
+def per_block(net, grads):
+    """The table-order gradients as PerLayerAdam's per-block view with
+    ``.weights/.bias/.gamma/.beta`` (None where a block has no such array)."""
+    blocks = [SimpleNamespace(weights=None, bias=None, gamma=None, beta=None)
+              for _ in net.blocks]
+    for (i, name, _), g in zip(array_table(net.config, trained_only=True), grads):
+        setattr(blocks[i], ORACLE_FIELDS[name], g)
+    return blocks
 
 
 def channel_masks(net, pattern):
@@ -102,15 +109,12 @@ def channel_masks(net, pattern):
 
 
 def trained(net):
-    return [a for b in net.blocks for _, a in block_arrays(b, trained_only=True)]
+    return [a for _, _, a in network_arrays(net, trained_only=True)]
 
 
 def per_channel(net, masks):
     """(array, its block's mask) for every trained array."""
-    return [
-        (a, m) for b, m in zip(net.blocks, masks)
-        for _, a in block_arrays(b, trained_only=True)
-    ]
+    return [(a, masks[i]) for i, _, a in network_arrays(net, trained_only=True)]
 
 
 class TestMaskedUpdate:
@@ -248,7 +252,7 @@ class TestMaskedAdamMatchesPerLayerReference:
         for _ in range(steps):
             grads = random_grads(net, rng)
             opt.step(flat, grads)
-            oracle.step(ref, grads)
+            oracle.step(ref, per_block(ref, grads))
         for a, b in zip(trained(flat), trained(ref)):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
         m_ref, v_ref = oracle.moments()

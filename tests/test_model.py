@@ -17,8 +17,8 @@ from tgdkit.model import (
     TruncatedFileError,
     UnsupportedVersionError,
     WeightFileError,
-    _array_table,
     _param_arrays,
+    array_table,
     backward,
     build_network,
     denoise_volume,
@@ -179,7 +179,8 @@ class TestBackward:
 
         y, caches = forward_train(net64, x)
         grad_y = 2.0 * (y - target) / y.size
-        grads = backward(net64, caches, grad_y)
+        names = [(i, name) for i, name, _ in array_table(net64.config, trained_only=True)]
+        grads = dict(zip(names, backward(net64, caches, grad_y)))
 
         w1 = net64.blocks[1].conv.weights
 
@@ -189,7 +190,7 @@ class TestBackward:
             return loss(probe)
 
         fd = central_difference(loss_of_w1, w1)
-        assert rel_err(grads[1].weights, fd, floor=1e-4).max() < 1e-4
+        assert rel_err(grads[1, "conv.weight"], fd, floor=1e-4).max() < 1e-4
 
         g1 = net64.blocks[1].bn.gamma
 
@@ -199,8 +200,16 @@ class TestBackward:
             return loss(probe)
 
         fd_g = central_difference(loss_of_gamma, g1)
-        assert rel_err(grads[1].gamma, fd_g, floor=1e-4).max() < 1e-4
+        assert rel_err(grads[1, "bn.gamma"], fd_g, floor=1e-4).max() < 1e-4
 
+    @pytest.mark.parametrize("depth,channels,slices", [(3, 1, 1), (4, 5, 3), (6, 2, 5)])
+    def test_gradients_have_the_trained_table_shapes(self, depth, channels, slices):
+        config = NetworkConfig(depth, channels, slices)
+        net = build_network(config, seed=0)
+        x = np.random.default_rng(0).standard_normal((2, slices, 5, 5)).astype(np.float32)
+        y, caches = forward_train(net, x)
+        shapes = [g.shape for g in backward(net, caches, np.ones_like(y))]
+        assert shapes == [shape for _, _, shape in array_table(config, trained_only=True)]
 
     def test_train_caches_hold_no_patch_matrix(self):
         # the backward pass rebuilds each conv's patch matrix from the cached
@@ -351,14 +360,26 @@ class TestWeightFile:
     ):
         net = build_network(NetworkConfig(depth, channels, slices), seed=0, version_tag=tag)
         finite = st.floats(width=32, allow_nan=False, allow_infinity=False)
-        for _, a in _param_arrays(net):
-            a[...] = data.draw(hnp.arrays(np.float32, a.shape, elements=finite))
+        # a running variance must be > 0, or the file is rejected
+        positive = st.floats(width=32, min_value=0.0, exclude_min=True, allow_infinity=False)
+        for name, a in _param_arrays(net):
+            values = positive if name.endswith("running_var") else finite
+            a[...] = data.draw(hnp.arrays(np.float32, a.shape, elements=values))
         p = tmp_path / "net.tgdw"
         save_weights(net, p)
         loaded = load_weights(p)
         assert (loaded.config, loaded.version_tag) == (net.config, tag)
         for (name, a), (_, b) in zip(_param_arrays(net), _param_arrays(loaded)):
             assert a.tobytes() == b.tobytes(), name
+            assert b.dtype == np.float32 and b.flags.writeable and b.flags.owndata, name
+
+    @pytest.mark.parametrize("value", [0.0, -1.0])
+    def test_non_positive_running_variance_is_weight_file_error(self, tmp_path, value):
+        net = build_network(NetworkConfig(depth=4, channels=3), seed=0)
+        net.blocks[2].bn.running_var[1] = value
+        save_weights(net, tmp_path / "net.tgdw")
+        with pytest.raises(WeightFileError, match=r"block02\.bn: running_var"):
+            load_weights(tmp_path / "net.tgdw")
 
     @settings(
         max_examples=400, deadline=None,
@@ -375,9 +396,3 @@ class TestWeightFile:
             load_weights(p)
         except WeightFileError:
             pass
-
-    @pytest.mark.parametrize("depth,channels,slices", [(3, 1, 1), (4, 5, 3), (6, 2, 5)])
-    def test_array_table_is_what_a_built_network_persists(self, depth, channels, slices):
-        config = NetworkConfig(depth, channels, slices)
-        built = [(name, a.shape) for name, a in _param_arrays(build_network(config, 0))]
-        assert list(_array_table(config)) == built
