@@ -1,12 +1,16 @@
 """Reproducible experiment front-end.
 
-Every subcommand reads a JSON config (flags override file values), writes
-its outputs plus a run manifest into one output directory, and exits 0 on
+gen-data, train, tgd-finetune and n2n read a JSON config (flags override
+file values); kse-report, prune-eval and evaluate read no config file and
+take their inputs as arguments and flags. Every subcommand writes its
+outputs plus a run manifest into one output directory, and exits 0 on
 success, 2 on config problems, 3 on data/weight problems. A command
 computes all of its outputs before it creates the output directory, so a
-failing run leaves nothing behind. The manifest echoes the fully resolved
-config and hashes every input and output, so a run can be reproduced byte
-for byte from the manifest alone. Every JSON file written is strict JSON.
+failing run leaves nothing behind. The manifest's ``config`` holds the fully
+resolved config, or for the commands without a config file their arguments,
+and the manifest hashes every input and output, so a run can be reproduced
+byte for byte from the manifest alone. Every JSON file written is strict
+JSON.
 """
 
 from __future__ import annotations
@@ -285,12 +289,12 @@ def cmd_gen_data(args) -> int:
             "count_levels": list[float], "n_realizations": int, "n2n_split": bool,
         }))
         rois = {
-            "lesion": Roi("lesion", lesion_voxels(spec)),
-            "background": Roi("background", background_voxels(spec)),
+            "lesion": Roi(lesion_voxels(spec)),
+            "background": Roi(background_voxels(spec)),
         }
         if ood is not None:
             ood_only = replace(spec, lesions=(extra,))
-            rois["ood_lesion"] = Roi("lesion", lesion_voxels(ood_only))
+            rois["ood_lesion"] = Roi(lesion_voxels(ood_only))
 
         def write_study(path, study=study, rois=rois):
             save_study(study, path.parent)

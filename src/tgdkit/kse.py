@@ -88,24 +88,28 @@ def _minmax(values: np.ndarray) -> np.ndarray:
 
 @dataclass
 class LayerKse:
-    layer: int
     sparsity: np.ndarray
     entropy: np.ndarray
-    sparsity_norm: np.ndarray
     kse: np.ndarray
 
 
 @dataclass
 class KseReport:
+    """Input-channel scores of every conv layer; ``layers[i]`` is block i's."""
+
     layers: list[LayerKse]
     config: KseConfig
     source: str
 
-    def layer(self, idx: int) -> LayerKse:
-        for lk in self.layers:
-            if lk.layer == idx:
-                return lk
-        raise KeyError(f"no scores for layer {idx}")
+    def redundant(self, net: Network, threshold: float) -> list[np.ndarray]:
+        """The redundancy rule: per conv layer, which input feature maps score
+        strictly below the threshold. Masks and kernel drops both read it.
+        The report must have been computed from ``net``."""
+        if not np.isfinite(threshold) or threshold < 0:
+            raise ValueError(f"threshold must be finite and >= 0, got {threshold}")
+        if self.source != network_hash(net):
+            raise ValueError("report was computed from a different network")
+        return [lk.kse < threshold for lk in self.layers]
 
     def to_dict(self) -> dict:
         return {
@@ -114,12 +118,12 @@ class KseReport:
             "k_neighbors": self.config.k_neighbors,
             "layers": [
                 {
-                    "layer": lk.layer,
+                    "layer": i,
                     "sparsity": [float(v) for v in lk.sparsity],
                     "entropy": [float(v) for v in lk.entropy],
                     "kse": [float(v) for v in lk.kse],
                 }
-                for lk in self.layers
+                for i, lk in enumerate(self.layers)
             ],
         }
 
@@ -135,19 +139,16 @@ def kse_scores(net: Network, config: KseConfig | None = None) -> KseReport:
     score (huge weights overflow float32) raises NonFiniteOutputError.
     """
     config = config or KseConfig()
-    if not net.blocks:
-        raise ValueError("network has no conv layers")
     layers = []
     for i, block in enumerate(net.blocks):
         w = block.conv.weights
-        c_in = w.shape[1]
-        s = np.array([kernel_sparsity(w, c) for c in range(c_in)])
-        e = np.array([kernel_entropy(w, c, config) for c in range(c_in)])
+        with np.errstate(over="ignore", invalid="ignore"):
+            s = np.array([kernel_sparsity(w, c) for c in range(w.shape[1])])
+            e = np.array([kernel_entropy(w, c, config) for c in range(w.shape[1])])
         if not (np.isfinite(s).all() and np.isfinite(e).all()):
             raise NonFiniteOutputError(f"layer {i} has non-finite raw KSE scores")
-        s_n = _minmax(s)
-        kse = np.sqrt(s_n / (1.0 + config.alpha * _minmax(e)))
-        layers.append(LayerKse(i, s, e, s_n, kse))
+        kse = np.sqrt(_minmax(s) / (1.0 + config.alpha * _minmax(e)))
+        layers.append(LayerKse(s, e, kse))
     return KseReport(layers, config, network_hash(net))
 
 
@@ -161,21 +162,16 @@ def drop_kernels(net: Network, report: KseReport, threshold: float) -> DropResul
     """Zero every interior-layer kernel column whose input feature map scores
     below the threshold; a diagnostic for how much the low-KSE maps matter.
 
-    The first layer reads raw image slices (never scored) and the last layer
-    is the single-channel output head, so both are left untouched. The
+    The first layer reads raw image slices and the last layer is the
+    single-channel output head, so both are left untouched. The
     dropped fraction is over all conv weight entries in the network.
     """
-    if not np.isfinite(threshold) or threshold < 0:
-        raise ValueError(f"threshold must be finite and >= 0, got {threshold}")
-    if report.source != network_hash(net):
-        raise ValueError("report was computed from a different network")
+    redundant = report.redundant(net, threshold)
     out = net.copy()
     total = sum(b.conv.weights.size for b in net.blocks)
     dropped = 0
     for i in range(1, net.depth - 1):
-        scores = report.layer(i).kse
-        cols = [c for c in range(len(scores)) if scores[c] < threshold]
-        if cols:
-            out.blocks[i].conv.weights[:, cols] = 0
-            dropped += out.blocks[i].conv.weights[:, cols].size
+        w = out.blocks[i].conv.weights
+        w[:, redundant[i]] = 0
+        dropped += w[:, redundant[i]].size
     return DropResult(out, dropped / total)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kse import KseReport
-from .model import Network, has_batchnorm, network_arrays, network_hash
+from .model import Network, has_batchnorm, network_arrays
 from .ops import BatchNormParams, BnStats
 
 
@@ -79,29 +79,14 @@ def build_masks(
     """Map next-layer input KSE scores onto this layer's output channels.
 
     Output channel n of block i feeds input channel n of block i+1, so block
-    i's mask comes from block i+1's scores (strict ``kse < threshold``). The
-    batchnorm that sits right after a conv shares its channel mask. The last
-    block has no downstream scores; it is frozen outright or fully trainable
-    per the flag.
+    i's mask is block i+1's ``report.redundant`` vector. The batchnorm that
+    sits right after a conv shares its channel mask. The last block has no
+    downstream scores; it is frozen outright or fully trainable per the flag.
     """
-    if not np.isfinite(threshold) or threshold < 0:
-        raise ValueError(f"threshold must be finite and >= 0, got {threshold}")
-    if report.source != network_hash(net):
-        raise ValueError("report was computed from a different network")
-    conv_masks: list[np.ndarray] = []
-    for i, block in enumerate(net.blocks):
-        n_out = block.conv.out_channels
-        if i == net.depth - 1:
-            mask = np.zeros(n_out, np.uint8) if last_layer_frozen else np.ones(n_out, np.uint8)
-        else:
-            downstream = report.layer(i + 1).kse
-            if len(downstream) != n_out:
-                raise ValueError(
-                    f"layer {i + 1} scores have length {len(downstream)}, "
-                    f"block {i} has {n_out} output channels"
-                )
-            mask = (downstream < threshold).astype(np.uint8)
-        conv_masks.append(mask)
+    redundant = report.redundant(net, threshold)
+    conv_masks = [r.astype(np.uint8) for r in redundant[1:]]
+    last = net.blocks[-1].conv.out_channels
+    conv_masks.append(np.full(last, 0 if last_layer_frozen else 1, np.uint8))
     return MaskSet(conv_masks, float(threshold), report.source, generation)
 
 

@@ -19,18 +19,13 @@ import numpy as np
 from .model import Network, denoise_volume
 from .phantom import DataFileError, _read_sidecar, has_kind
 
-ROI_KINDS = ("lesion", "background")
-
 
 @dataclass
 class Roi:
-    kind: str
     voxels: np.ndarray  # [K, 3] (slice, y, x)
 
     def __post_init__(self):
         self.voxels = np.asarray(self.voxels, dtype=np.int64)
-        if self.kind not in ROI_KINDS:
-            raise ValueError(f"kind must be one of {ROI_KINDS}, got {self.kind!r}")
         if self.voxels.ndim != 2 or self.voxels.shape[1] != 3 or len(self.voxels) == 0:
             raise ValueError("voxels must be a nonempty [K, 3] index list")
 
@@ -56,11 +51,10 @@ def load_rois(path, shape: tuple[int, ...] | None = None) -> dict[str, Roi]:
     malformed file is a DataFileError."""
     out = {}
     for name, voxels in _read_sidecar(Path(path)).items():
-        kind = "lesion" if "lesion" in name else "background"
         try:
             if not has_kind(voxels, list[list[int]]):
                 raise ValueError("not a list of integer index triples")
-            out[name] = Roi(kind, voxels)
+            out[name] = Roi(voxels)
             if shape is not None:
                 out[name].check_bounds(shape)
         except (OverflowError, ValueError) as e:

@@ -291,7 +291,8 @@ def denoise_volume(net: Network, volume: np.ndarray) -> np.ndarray:
     if volume.ndim != 3:
         raise ValueError(f"volume must be [S, H, W], got {volume.shape}")
     batch = volume_to_samples(volume, net.config.input_slices)
-    out = forward(net, batch.astype(np.float32, copy=False), "infer")
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = forward(net, batch.astype(np.float32, copy=False), "infer")
     if not np.isfinite(out).all():
         raise NonFiniteOutputError("non-finite values in the denoised volume")
     return out[:, 0]

@@ -294,7 +294,7 @@ def test_criterion_04_kse_oracle_equivalence():
             report = kse_scores(net, KseConfig(alpha=1.0, k_neighbors=5))
             for i, blk in enumerate(net.blocks):
                 s, e, kse = kse_layer_bruteforce(blk.conv.weights, 1.0, 5)
-                lk = report.layer(i)
+                lk = report.layers[i]
                 np.testing.assert_allclose(lk.sparsity, s, atol=1e-6)
                 np.testing.assert_allclose(lk.entropy, e, atol=1e-6)
                 np.testing.assert_allclose(lk.kse, kse, atol=1e-6)
@@ -392,8 +392,8 @@ def test_criterion_07_online_adaptation_on_unseen_structure(v2_net):
             spec_ood, ScanProtocol(0.8, 2e4, seed=3100),
             count_levels=(1.0,), n_realizations=6, n2n_split=True,
         )
-        roi = Roi("lesion", lesion_voxels(PhantomSpec(H, W, S, spec_ood.ellipses, (ood,), 0)))
-        bg = Roi("background", background_voxels(spec_ood))
+        roi = Roi(lesion_voxels(PhantomSpec(H, W, S, spec_ood.ellipses, (ood,), 0)))
+        bg = Roi(background_voxels(spec_ood))
 
         halves = study.realizations["n2n"]
         tuned, _ = online_n2n(
@@ -452,8 +452,8 @@ def test_criterion_09_metric_oracles():
             n_vox = int(rng.integers(1, min(8, int(np.prod(shape)))))
             flat = rng.choice(int(np.prod(shape)), size=n_vox, replace=False)
             voxels = np.stack(np.unravel_index(flat, shape), axis=1)
-            roi_l = Roi("lesion", voxels)
-            roi_b = Roi("background", voxels)
+            roi_l = Roi(voxels)
+            roi_b = Roi(voxels)
             assert ensemble_bias(reals, roi_l, truth) == pytest.approx(
                 ensemble_bias_loop(reals, voxels, truth), abs=1e-6
             )
@@ -461,7 +461,7 @@ def test_criterion_09_metric_oracles():
                 ensemble_cov_loop(reals, voxels), abs=1e-6
             )
         c, d = 5.0, 0.75
-        roi = Roi("background", [[0, 0, 0], [0, 1, 1]])
+        roi = Roi([[0, 0, 0], [0, 1, 1]])
         got = ensemble_cov([np.full((1, 2, 2), c + d), np.full((1, 2, 2), c - d)], roi)
         assert got == pytest.approx(abs(d) * np.sqrt(2) / c * 100.0, rel=1e-12)
 

@@ -6,6 +6,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -412,8 +413,8 @@ class TestEvaluate:
         save_study(study, tmp_path / "study")
         save_rois(
             {
-                "lesion": Roi("lesion", [[0, 2, 2], [1, 3, 3]]),
-                "background": Roi("background", [[2, 4, 4], [2, 5, 5], [0, 1, 6]]),
+                "lesion": Roi([[0, 2, 2], [1, 3, 3]]),
+                "background": Roi([[2, 4, 4], [2, 5, 5], [0, 1, 6]]),
             },
             tmp_path / "study" / "rois.json",
         )
@@ -441,8 +442,8 @@ class TestEvaluate:
         save_study(study, tmp_path / "study")
         save_rois(
             {
-                "lesion": Roi("lesion", [[0, 2, 2]]),
-                "background": Roi("background", [[1, 4, 4], [1, 5, 5]]),
+                "lesion": Roi([[0, 2, 2]]),
+                "background": Roi([[1, 4, 4], [1, 5, 5]]),
             },
             tmp_path / "study" / "rois.json",
         )
@@ -508,7 +509,8 @@ class TestWeightValues:
         net = build_network(NetworkConfig(**NET), seed=0)
         net.blocks[0].conv.weights[:] = 3e38
         save_weights(net, tmp_path / "huge.tgdw")
-        with np.errstate(over="ignore", invalid="ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the named error comes with no numpy warning
             assert self.run(workspace, tmp_path, command, tmp_path / "huge.tgdw") == 3
         assert "non-finite" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()

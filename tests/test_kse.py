@@ -11,6 +11,7 @@ from tgdkit.kse import (
     kernel_sparsity,
     kse_scores,
 )
+from tgdkit.masking import build_masks
 from tgdkit.model import NetworkConfig, build_network, network_hash
 
 from oracles import (
@@ -111,14 +112,15 @@ class TestKseScores:
         net = build_network(NetworkConfig(depth=3, channels=4), seed=0)
         net.blocks[1].conv.weights[:, 2] = 0.0
         report = kse_scores(net)
-        assert report.layer(1).kse[2] == 0.0
+        assert report.layers[1].kse[2] == 0.0
 
     def test_alpha_zero_is_sqrt_of_normalized_sparsity(self):
         rng = np.random.default_rng(5)
         net = build_network(NetworkConfig(depth=4, channels=5), seed=1)
         report = kse_scores(net, KseConfig(alpha=0.0))
         for lk in report.layers:
-            np.testing.assert_allclose(lk.kse, np.sqrt(lk.sparsity_norm))
+            s = lk.sparsity
+            np.testing.assert_allclose(lk.kse, np.sqrt((s - s.min()) / (s.max() - s.min())))
 
     def test_full_report_matches_end_to_end_bruteforce(self):
         net = build_network(NetworkConfig(depth=4, channels=6), seed=2)
@@ -126,7 +128,7 @@ class TestKseScores:
         report = kse_scores(net, cfg)
         for i, block in enumerate(net.blocks):
             s, e, kse = kse_layer_bruteforce(block.conv.weights, 1.0, 5)
-            lk = report.layer(i)
+            lk = report.layers[i]
             np.testing.assert_allclose(lk.sparsity, s, atol=1e-6)
             np.testing.assert_allclose(lk.entropy, e, atol=1e-6)
             np.testing.assert_allclose(lk.kse, kse, atol=1e-6)
@@ -145,10 +147,10 @@ class TestKseScores:
         net = build_network(NetworkConfig(depth=3, channels=5), seed=3)
         before = kse_scores(net)
         c = 2
-        rank_before = (before.layer(1).sparsity_norm < before.layer(1).sparsity_norm[c]).sum()
+        rank_before = (before.layers[1].sparsity < before.layers[1].sparsity[c]).sum()
         net.blocks[1].conv.weights[:, c] *= 3.0
         after = kse_scores(net)
-        rank_after = (after.layer(1).sparsity_norm < after.layer(1).sparsity_norm[c]).sum()
+        rank_after = (after.layers[1].sparsity < after.layers[1].sparsity[c]).sum()
         assert rank_after >= rank_before
 
     def test_output_permutation_invariance(self):
@@ -192,6 +194,30 @@ class TestDropKernels:
         report = kse_scores(net)
         fracs = [drop_kernels(net, report, t).dropped_fraction for t in (0.3, 0.4, 0.5, 0.6)]
         assert all(b >= a for a, b in zip(fracs, fracs[1:]))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_drops_exactly_the_maps_that_masks_retrain(self, seed):
+        # one redundancy rule: block i's zeroed input columns are the output
+        # channels block i-1 retrains, at any threshold
+        rng = np.random.default_rng(seed)
+        net = build_network(
+            NetworkConfig(depth=int(rng.integers(3, 7)), channels=int(rng.integers(2, 9))),
+            seed=seed,
+        )
+        report = kse_scores(net)
+        total = sum(b.conv.weights.size for b in net.blocks)
+        for threshold in (0.0, *rng.uniform(0.0, 1.0, 4), 1.5):
+            masks = build_masks(net, report, threshold)
+            res = drop_kernels(net, report, threshold)
+            dropped = 0
+            for i in range(1, net.depth - 1):
+                before = net.blocks[i].conv.weights
+                after = res.network.blocks[i].conv.weights
+                zeroed = ~after.any(axis=(0, 2, 3))
+                np.testing.assert_array_equal(zeroed, masks.conv_masks[i - 1] == 1)
+                np.testing.assert_array_equal(after[:, ~zeroed], before[:, ~zeroed])
+                dropped += after[:, zeroed].size
+            assert res.dropped_fraction == dropped / total
 
     def test_stale_report_rejected(self):
         net = self.make_net()

@@ -45,7 +45,7 @@ class TestBuildMasks:
     def test_downstream_scores_map_to_upstream_channels(self):
         net = toy_net(depth=3, channels=3)
         report = kse_scores(net)
-        report.layer(1).kse = np.array([0.2, 0.5, 0.1])
+        report.layers[1].kse = np.array([0.2, 0.5, 0.1])
         masks = build_masks(net, report, 0.3, last_layer_frozen=True)
         np.testing.assert_array_equal(masks.conv_masks[0], [1, 0, 1])
 

@@ -19,12 +19,12 @@ from tgdkit.model import NetworkConfig, build_network
 from oracles import ensemble_bias_loop, ensemble_cov_loop
 
 
-def roi_of(shape, n, kind="lesion", seed=0):
+def roi_of(shape, n, seed=0):
     rng = np.random.default_rng(seed)
     total = int(np.prod(shape))
     flat = rng.choice(total, size=n, replace=False)
     voxels = np.stack(np.unravel_index(flat, shape), axis=1)
-    return Roi(kind, voxels)
+    return Roi(voxels)
 
 
 class TestMsePsnr:
@@ -57,7 +57,7 @@ class TestEnsembleBias:
 
     def test_hand_case_minus_twenty_percent(self):
         shape = (1, 2, 2)
-        roi = Roi("lesion", [[0, 0, 0]])
+        roi = Roi([[0, 0, 0]])
         r1 = np.full(shape, 2.0)
         r2 = np.full(shape, 2.0)
         truth = np.full(shape, 2.5)
@@ -83,19 +83,19 @@ class TestEnsembleBias:
 
     def test_empty_roi_rejected(self):
         with pytest.raises(ValueError):
-            Roi("lesion", np.zeros((0, 3)))
+            Roi(np.zeros((0, 3)))
 
 
 class TestEnsembleCov:
     def test_identical_realizations_zero(self):
         x = np.random.default_rng(6).uniform(1, 2, (2, 4, 4))
-        roi = roi_of(x.shape, 6, kind="background")
+        roi = roi_of(x.shape, 6)
         assert ensemble_cov([x, x.copy(), x.copy()], roi) == pytest.approx(0.0)
 
     def test_two_realization_closed_form(self):
         c, d = 3.0, 0.4
         shape = (1, 3, 3)
-        roi = roi_of(shape, 5, kind="background")
+        roi = roi_of(shape, 5)
         got = ensemble_cov([np.full(shape, c + d), np.full(shape, c - d)], roi)
         # sample std of {c+d, c-d} is |d|*sqrt(2)
         assert got == pytest.approx(abs(d) * np.sqrt(2) / c * 100.0)
@@ -103,25 +103,25 @@ class TestEnsembleCov:
     def test_matches_loop_oracle(self):
         rng = np.random.default_rng(7)
         reals = [rng.uniform(1, 3, (3, 5, 5)) for _ in range(6)]
-        roi = roi_of(reals[0].shape, 12, kind="background", seed=8)
+        roi = roi_of(reals[0].shape, 12, seed=8)
         expected = ensemble_cov_loop(reals, roi.voxels)
         assert ensemble_cov(reals, roi) == pytest.approx(expected, abs=1e-6)
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(9)
         reals = [rng.uniform(1, 3, (2, 4, 4)) for _ in range(4)]
-        roi = roi_of(reals[0].shape, 6, kind="background", seed=10)
+        roi = roi_of(reals[0].shape, 6, seed=10)
         base = ensemble_cov(reals, roi)
         scaled = ensemble_cov([7.5 * r for r in reals], roi)
         assert scaled == pytest.approx(base, rel=1e-12)
 
     def test_single_realization_rejected(self):
-        roi = roi_of((1, 2, 2), 2, kind="background")
+        roi = roi_of((1, 2, 2), 2)
         with pytest.raises(ValueError, match="2 realizations"):
             ensemble_cov([np.ones((1, 2, 2))], roi)
 
     def test_zero_grand_mean_rejected(self):
-        roi = roi_of((1, 2, 2), 2, kind="background")
+        roi = roi_of((1, 2, 2), 2)
         with pytest.raises(ValueError, match="grand mean"):
             ensemble_cov([np.zeros((1, 2, 2)), np.zeros((1, 2, 2))], roi)
 
@@ -158,17 +158,16 @@ class TestHallucinationProbe:
 class TestRoiIo:
     def test_round_trip(self, tmp_path):
         rois = {
-            "lesion": roi_of((3, 6, 6), 4, kind="lesion"),
-            "background": roi_of((3, 6, 6), 7, kind="background", seed=1),
+            "lesion": roi_of((3, 6, 6), 4),
+            "background": roi_of((3, 6, 6), 7, seed=1),
         }
         p = tmp_path / "rois.json"
         save_rois(rois, p)
         loaded = load_rois(p)
         assert set(loaded) == {"lesion", "background"}
         np.testing.assert_array_equal(loaded["lesion"].voxels, rois["lesion"].voxels)
-        assert loaded["background"].kind == "background"
 
     def test_out_of_bounds_checked_at_use(self):
-        roi = Roi("lesion", [[5, 0, 0]])
+        roi = Roi([[5, 0, 0]])
         with pytest.raises(ValueError, match="out of bounds"):
             roi.values(np.zeros((2, 2, 2)))

@@ -7,8 +7,10 @@ what tgdkit computes or writes:
 
 It covers the four training protocols (scratch, a warm start, TGD
 fine-tuning, online N2N) on a 5x16 net at weight decay 1e-5 and 0, with
-their network hashes, validation MSEs, records, masks and KSE reports, and
-every file the README's CLI flow writes (gen-data -> train -> kse-report ->
+their network hashes, validation MSEs, records, masks and KSE reports; the
+kernel drops (network hash, dropped fraction) and masks of the weight decay
+1e-5 scratch net at every ``cli.SWEEP_THRESHOLDS`` value; and every file
+the README's CLI flow writes (gen-data -> train -> kse-report ->
 tgd-finetune -> n2n -> prune-eval -> evaluate). Manifests are hashed
 without their timestamps and wall times, and with the temporary working
 directory replaced by a fixed name. The gen-data configs set every optional
@@ -30,7 +32,8 @@ from pathlib import Path
 import numpy as np
 
 from tgdkit import cli
-from tgdkit.kse import KseConfig, kse_scores
+from tgdkit.kse import KseConfig, drop_kernels, kse_scores
+from tgdkit.masking import build_masks
 from tgdkit.model import NetworkConfig, network_hash
 from tgdkit.phantom import ScanProtocol, build_dataset, make_study, random_phantom_spec
 from tgdkit.training import TrainConfig, finetune_tgd, online_n2n, train_scratch
@@ -78,7 +81,16 @@ def protocols() -> dict:
             out[f"{key}/record.jsonl"] = sha(record.to_jsonl().encode())
         out[f"wd={wd:g}/tgd/masks.json"] = sha(masks.to_json().encode())
         out[f"wd={wd:g}/tgd/retrained_fraction"] = masks.retrained_fraction()
-        out[f"wd={wd:g}/scratch/kse_report.json"] = sha(kse_scores(base).to_json().encode())
+        report = kse_scores(base)
+        out[f"wd={wd:g}/scratch/kse_report.json"] = sha(report.to_json().encode())
+        if wd == 1e-5:
+            for t in cli.SWEEP_THRESHOLDS:
+                at = f"wd={wd:g}/scratch/phi={t:g}"
+                dropped = drop_kernels(base, report, t)
+                out[f"{at}/drop/network_hash"] = network_hash(dropped.network)
+                out[f"{at}/drop/dropped_fraction"] = dropped.dropped_fraction
+                masks = build_masks(base, report, t)
+                out[f"{at}/masks.json"] = sha(masks.to_json().encode())
     return out
 
 
