@@ -8,16 +8,16 @@ success, 2 on config problems, 3 on data/weight problems. A command
 computes all of its outputs before it creates the output directory, so a
 failing run leaves nothing behind. The manifest's ``config`` holds the fully
 resolved config, or for the commands without a config file their arguments,
-and the manifest hashes every input and output, so a run can be reproduced
-byte for byte from the manifest alone. Every JSON file written is strict
-JSON.
+so a run can be reproduced byte for byte from the manifest alone. The
+manifest hashes the file each input and output entry names; for a dataset or
+a study that is its JSON sidecar only, not the volumes. Every JSON file
+written is strict JSON.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
-import json
 import os
 import sys
 import time
@@ -47,7 +47,6 @@ from .model import (
     WeightFileError,
     denoise_volume,
     load_weights,
-    network_hash,
     save_weights,
 )
 from .phantom import (
@@ -55,15 +54,16 @@ from .phantom import (
     DataFileError,
     Lesion,
     ScanProtocol,
-    _read_sidecar,
     background_voxels,
     build_dataset,
     has_kind,
+    json_text,
     lesion_voxels,
     load_dataset,
     load_study,
     make_study,
     random_phantom_spec,
+    read_json,
     save_dataset,
     save_study,
 )
@@ -86,13 +86,9 @@ def sha256_file(path) -> str:
     return h.hexdigest()
 
 
-def json_text(doc) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
-
-
 def load_config(path) -> dict:
     try:
-        return _read_sidecar(Path(path))
+        return read_json(Path(path))
     except DataFileError as e:
         raise ConfigError(str(e)) from e
 
@@ -118,9 +114,7 @@ def need(cfg: dict, field: str, kind, default=_REQUIRED, where: str = "config"):
 
 
 def _config_hash(doc: dict) -> str:
-    return hashlib.sha256(
-        json.dumps(doc, sort_keys=True, allow_nan=False).encode()
-    ).hexdigest()
+    return hashlib.sha256(json_text(doc, None).encode()).hexdigest()
 
 
 def write_manifest(
@@ -138,7 +132,7 @@ def write_manifest(
     }
     if wall_time_s is not None:
         doc["wall_time_s"] = wall_time_s
-    (out / "manifest.json").write_text(json_text(doc))
+    (out / "manifest.json").write_text(json_text(doc) + "\n")
 
 
 def write_run(
@@ -351,10 +345,9 @@ def cmd_training(args, mode: str) -> int:
     }
     if masks is not None:
         outputs["masks"] = ("masks.json", masks.to_json())
-    digest = network_hash(net)[:12]
     return write_run(
         args, resolved, inputs, outputs,
-        lambda out: f"final weights {digest} -> {out}", record.wall_time_s,
+        lambda out: f"final weights {record.final_hash[:12]} -> {out}", record.wall_time_s,
     )
 
 
@@ -391,7 +384,7 @@ def cmd_kse_report(args) -> int:
         args, resolved, {"weights": Path(args.weights)},
         {
             "kse_report": ("kse_report.json", report.to_json() + "\n"),
-            "sweep": ("sweep.json", json_text({"sweep": sweep})),
+            "sweep": ("sweep.json", json_text({"sweep": sweep}) + "\n"),
             "sweep_table": ("sweep.txt", table + "\n"),
         },
         lambda out: table,
@@ -435,7 +428,7 @@ def cmd_prune_eval(args) -> int:
         args, resolved,
         {"weights": Path(args.weights), "study": study_dir / "study.json"},
         {
-            "report": ("prune_eval.json", json_text({"rows": rows})),
+            "report": ("prune_eval.json", json_text({"rows": rows}) + "\n"),
             "table": ("prune_eval.txt", table + "\n"),
         },
         lambda out: table,
@@ -492,7 +485,7 @@ def cmd_evaluate(args) -> int:
         args, resolved,
         {"weights": Path(args.weights), "study": study_dir / "study.json", "rois": rois_path},
         {
-            "metrics": ("metrics.json", json_text(report)),
+            "metrics": ("metrics.json", json_text(report) + "\n"),
             "table": ("metrics.txt", table + "\n"),
         },
         lambda out: table,

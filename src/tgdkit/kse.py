@@ -15,13 +15,13 @@ weights; scoring never mutates a network.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .model import Network, NonFiniteOutputError, network_hash
+from .phantom import json_text
 
 
 @dataclass(frozen=True)
@@ -128,7 +128,7 @@ class KseReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True, allow_nan=False)
+        return json_text(self.to_dict())
 
 
 def kse_scores(net: Network, config: KseConfig | None = None) -> KseReport:

@@ -19,7 +19,6 @@ with np.where copies, never recomputed.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +26,7 @@ import numpy as np
 from .kse import KseReport
 from .model import Network, has_batchnorm, network_arrays
 from .ops import BatchNormParams, BnStats
+from .phantom import json_text
 
 
 @dataclass
@@ -61,7 +61,7 @@ class MaskSet:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True, allow_nan=False)
+        return json_text(self.to_dict())
 
     def retrained_fraction(self) -> float:
         total = sum(m.size for m in self.conv_masks)

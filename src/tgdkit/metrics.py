@@ -10,14 +10,13 @@ convention.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .model import Network, denoise_volume
-from .phantom import DataFileError, _read_sidecar, has_kind
+from .phantom import DataFileError, has_kind, json_text, read_json
 
 
 @dataclass
@@ -42,7 +41,7 @@ class Roi:
 
 def save_rois(rois: dict[str, Roi], path) -> None:
     doc = {name: [[int(i) for i in v] for v in roi.voxels] for name, roi in rois.items()}
-    Path(path).write_text(json.dumps(doc, sort_keys=True, allow_nan=False))
+    Path(path).write_text(json_text(doc, None))
 
 
 def load_rois(path, shape: tuple[int, ...] | None = None) -> dict[str, Roi]:
@@ -50,7 +49,7 @@ def load_rois(path, shape: tuple[int, ...] | None = None) -> dict[str, Roi]:
     (s, y, x) triples, inside a volume of ``shape`` when one is given. A
     malformed file is a DataFileError."""
     out = {}
-    for name, voxels in _read_sidecar(Path(path)).items():
+    for name, voxels in read_json(Path(path)).items():
         try:
             if not has_kind(voxels, list[list[int]]):
                 raise ValueError("not a list of integer index triples")

@@ -490,12 +490,12 @@ def save_dataset(dataset: DenoiseDataset, directory) -> None:
             d / entries[-1] / "meta.json", volumes,
             phantom_id=sp.phantom_id, levels=sorted(sp.inputs),
         )
-    _write_json(d / "dataset.json", {**dataset.manifest, "phantom_dirs": entries})
+    (d / "dataset.json").write_text(json_text({**dataset.manifest, "phantom_dirs": entries}))
 
 
 def load_dataset(directory) -> DenoiseDataset:
     d = Path(directory)
-    doc = _read_sidecar(d / "dataset.json", phantom_dirs=list)
+    doc = read_json(d / "dataset.json", phantom_dirs=list)
     studies = []
     for name in doc["phantom_dirs"]:
         meta, (truth, target, *inputs) = _load_volumes(
@@ -556,19 +556,21 @@ def load_study(directory) -> Study:
 def _save_volumes(path: Path, volumes: dict[str, tuple[str, np.ndarray]], **doc) -> None:
     """The on-disk container of a phantom and of a study: ``volumes`` (key ->
     (file name, array)) as raw little-endian float32 beside the JSON sidecar
-    ``path``, which holds ``doc``, the ``files`` map and the truth's shape."""
+    ``path``, which holds ``doc``, the ``files`` map and the truth's shape.
+    The sidecar is encoded first, so a value JSON cannot hold writes nothing."""
+    files = {key: name for key, (name, _) in volumes.items()}
+    sidecar = json_text({**doc, "files": files, "shape": list(volumes["truth"][1].shape)})
     path.parent.mkdir(parents=True, exist_ok=True)
     for name, vol in volumes.values():
         (path.parent / name).write_bytes(np.ascontiguousarray(vol, dtype="<f4").tobytes())
-    files = {key: name for key, (name, _) in volumes.items()}
-    _write_json(path, {**doc, "files": files, "shape": list(volumes["truth"][1].shape)})
+    path.write_text(sidecar)
 
 
 def _load_volumes(path: Path, keys, **kinds: type) -> tuple[dict, list[np.ndarray]]:
     """A ``_save_volumes`` sidecar with ``kinds`` keys, and the volumes
     ``keys(sidecar)`` lists as (files key, shape) pairs, in that order. Each
     must be a file inside the sidecar's directory, of that size, and finite."""
-    doc = _read_sidecar(path, shape=list, files=dict, **kinds)
+    doc = read_json(path, shape=list, files=dict, **kinds)
     volumes = []
     for key, shape in keys(doc):
         name = doc["files"].get(key) if isinstance(key, str) else None
@@ -590,9 +592,10 @@ def _load_volumes(path: Path, keys, **kinds: type) -> tuple[dict, list[np.ndarra
     return doc, volumes
 
 
-def _read_sidecar(path: Path, **kinds: type) -> dict:
+def read_json(path: Path, **kinds: type) -> dict:
     """A JSON input file: an object whose ``kinds`` keys hold values of
-    those kinds (see ``has_kind``). Anything else is a DataFileError."""
+    those kinds (see ``has_kind``). Anything else is a DataFileError. This
+    is the one JSON reader of tgdkit."""
     try:
         doc = json.loads(path.read_text())
     except (OSError, ValueError) as e:  # JSON and UTF-8 errors are ValueErrors
@@ -603,6 +606,13 @@ def _read_sidecar(path: Path, **kinds: type) -> dict:
         if not has_kind(doc.get(key), kind):
             raise DataFileError(f"{path}: {key!r} is missing or not a {kind.__name__}")
     return doc
+
+
+def json_text(doc, indent: int | None = 2) -> str:
+    """The one JSON encoder of tgdkit: sorted keys, and strict, so a NaN or
+    an infinity is a ValueError. ``indent=None`` gives one compact line.
+    No trailing newline."""
+    return json.dumps(doc, indent=indent, sort_keys=True, allow_nan=False)
 
 
 def has_kind(value, kind) -> bool:
@@ -626,7 +636,3 @@ def _inside(directory: Path, name, what: str) -> Path:
     if not isinstance(name, str) or name in ("", "..") or Path(name).name != name:
         raise DataFileError(f"{directory}: {what} {name!r} is not a name inside it")
     return directory / name
-
-
-def _write_json(path, doc: dict) -> None:
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True, allow_nan=False))

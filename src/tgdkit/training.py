@@ -37,6 +37,7 @@ from .model import (
     volume_to_samples,
 )
 from .ops import ConvWorkspace
+from .phantom import json_text
 
 MODES = ("scratch", "tgd_finetune", "n2n_online")
 DEFAULT_EPOCHS = {"scratch": 500, "tgd_finetune": 500, "n2n_online": 150}
@@ -93,25 +94,18 @@ class TrainRecord:
         Wall time is deliberately left out: the serialized record must be
         byte-identical across reruns (it lives in the run manifest instead).
         """
-        import json
-
+        summary = {
+            "summary": True,
+            "mode": self.config["mode"],
+            "config": self.config,
+            "val_mse": self.val_mse,
+            "final_hash": self.final_hash,
+        }
         lines = [
-            json.dumps({"epoch": i, "loss": loss}, allow_nan=False)
+            json_text({"epoch": i, "loss": loss}, None)
             for i, loss in enumerate(self.epoch_losses)
         ]
-        lines.append(
-            json.dumps(
-                {
-                    "summary": True,
-                    "mode": self.config["mode"],
-                    "config": self.config,
-                    "val_mse": self.val_mse,
-                    "final_hash": self.final_hash,
-                },
-                sort_keys=True,
-                allow_nan=False,
-            )
-        )
+        lines.append(json_text(summary, None))
         return "\n".join(lines) + "\n"
 
 
@@ -198,13 +192,16 @@ def _resolve_pairs(dataset) -> tuple[list, list]:
 
 
 def _fit(
-    net: Network, config: TrainConfig, dataset, generation: int | None = None
+    net: Network, config: TrainConfig, dataset, mode: str, generation: int | None = None
 ) -> tuple[Network, TrainRecord, MaskSet | None]:
     """The body of every protocol: train a copy of ``net`` and record the
-    run. With a mask ``generation``, only the channels that pass the KSE
-    masks at ``config.kse_threshold`` train; without one, all of them do (the
-    all-ones masks). Zero epochs train nothing and return an unchanged copy.
-    The freeze contract is checked afterwards."""
+    run. ``config`` must be for the calling protocol's ``mode``, whose
+    defaults it holds. With a mask ``generation``, only the channels that
+    pass the KSE masks at ``config.kse_threshold`` train; without one, all of
+    them do (the all-ones masks). Zero epochs train nothing and return an
+    unchanged copy. The freeze contract is checked afterwards."""
+    if config.mode != mode:
+        raise ValueError(f"{mode} training got a config for mode {config.mode!r}")
     train_pairs, val_pairs = _resolve_pairs(dataset)
     if not train_pairs:
         raise ValueError("dataset is empty")
@@ -238,7 +235,7 @@ def train_scratch(
     """
     if initial is None:
         initial = build_network(config.network, config.seed)
-    net, record, _ = _fit(initial, config, dataset)
+    net, record, _ = _fit(initial, config, dataset, "scratch")
     return net, record
 
 
@@ -255,7 +252,7 @@ def finetune_tgd(
 ) -> tuple[Network, TrainRecord, MaskSet]:
     """Adapt a pre-trained net to new data, retraining only the channels
     whose downstream feature maps score below the KSE threshold."""
-    return _fit(net, config, dataset, generation)
+    return _fit(net, config, dataset, "tgd_finetune", generation)
 
 
 def online_n2n(
@@ -279,5 +276,5 @@ def online_n2n(
     if realization_b.tobytes() < realization_a.tobytes():
         realization_a, realization_b = realization_b, realization_a
     pairs = [(realization_a, realization_b), (realization_b, realization_a)]
-    tuned, record, _ = _fit(net, config, pairs, generation)
+    tuned, record, _ = _fit(net, config, pairs, "n2n_online", generation)
     return tuned, record

@@ -7,6 +7,8 @@ import subprocess
 import sys
 import tempfile
 import warnings
+from dataclasses import asdict
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -17,9 +19,12 @@ from hypothesis import strategies as st
 import tgdkit
 from tgdkit import cli
 from tgdkit.cli import main, sha256_file
+from tgdkit.kse import kse_scores
+from tgdkit.masking import MaskSet, all_ones_masks
 from tgdkit.model import NetworkConfig, build_network, load_weights, network_hash, save_weights
-from tgdkit.phantom import ScanProtocol, Study, save_study
+from tgdkit.phantom import ScanProtocol, Study, json_text, save_study
 from tgdkit.metrics import Roi, save_rois
+from tgdkit.training import TrainConfig, TrainRecord
 
 from test_model import CORRUPTIONS, saved_3x4
 
@@ -674,6 +679,34 @@ class TestRunWriters:
             for kind in ("inputs", "outputs"):
                 for key, entry in manifest[kind].items():
                     assert sha256_file(entry["path"]) == entry["sha256"], (out.name, key)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize(
+        "writer", ["json_text", "record", "kse_report", "masks", "study"]
+    )
+    def test_non_finite_value_is_value_error(self, writer, value, tmp_path):
+        """Every JSON writer refuses a value JSON cannot hold."""
+        net = build_network(NetworkConfig(**NET), seed=0)
+        if writer == "json_text":
+            write = partial(json_text, {"x": [value]})
+        elif writer == "record":
+            record = TrainRecord(asdict(TrainConfig()), [0.5], value, 1.0, "h")
+            write = record.to_jsonl
+        elif writer == "kse_report":
+            report = kse_scores(net)
+            report.layers[1].kse[0] = value
+            write = report.to_json
+        elif writer == "masks":
+            write = MaskSet(all_ones_masks(net), value, network_hash(net)).to_json
+        else:
+            truth = np.ones((3, 4, 4), np.float32)
+            study = Study(
+                truth, {"1": truth[None]}, ScanProtocol(1.0, 1e4, seed=0), {"x": value}
+            )
+            write = partial(save_study, study, tmp_path / "study")
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            write()
+        assert not (tmp_path / "study").exists()
 
 
 def n2n_config(workspace, **overrides):

@@ -114,6 +114,11 @@ class TestTrainScratch:
             hashes.append(run.stdout.strip())
         assert len(hashes[0]) == 64 and hashes[0] == hashes[1]
 
+    def test_config_of_another_mode_rejected(self):
+        cfg = TrainConfig(mode="n2n_online", epochs=1, network=TOY_NET)
+        with pytest.raises(ValueError, match="scratch training got .* 'n2n_online'"):
+            train_scratch(cfg, toy_dataset())
+
     def test_empty_dataset_rejected(self):
         cfg = TrainConfig(mode="scratch", epochs=1, network=TOY_NET)
         with pytest.raises(ValueError, match="empty"):
@@ -202,6 +207,12 @@ class TestFinetuneTgd:
         with pytest.raises(ValueError, match="kse_threshold"):
             finetune_tgd(self.base, cfg, self.ds_b)
 
+    def test_config_of_another_mode_rejected(self):
+        # a scratch config would train at the scratch learning rate
+        cfg = TrainConfig(kse_threshold=0.5, epochs=1, network=TOY_NET)
+        with pytest.raises(ValueError, match="tgd_finetune training got .* 'scratch'"):
+            finetune_tgd(self.base, cfg, self.ds_b)
+
     def test_input_net_never_mutated(self):
         before = network_hash(self.base)
         cfg = TrainConfig(
@@ -272,6 +283,11 @@ class TestOnlineN2n:
     def test_missing_threshold_rejected(self):
         with pytest.raises(ValueError, match="kse_threshold"):
             online_n2n(self.base, self.cfg(kse_threshold=None), self.r1, self.r2)
+
+    def test_config_of_another_mode_rejected(self):
+        cfg = self.cfg(mode="tgd_finetune", epochs=1)
+        with pytest.raises(ValueError, match="n2n_online training got .* 'tgd_finetune'"):
+            online_n2n(self.base, cfg, self.r1, self.r2)
 
 
 class TestConfigValidation:
