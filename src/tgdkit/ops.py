@@ -11,6 +11,7 @@ gradient checks).
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -80,8 +81,10 @@ class BnStats:
 
 
 class ConvWorkspace:
-    """Scratch memory the conv ops reuse for the zero-padded input and the
-    patch matrix, so same-shaped layers and steps allocate them once.
+    """Scratch memory the conv ops reuse for one sample's zero-padded input
+    and patch matrix, so same-shaped layers, samples and steps allocate them
+    once. No buffer spans the batch: the conv ops fill them one sample at a
+    time.
 
     Each role keeps one flat byte buffer that grows to the largest request
     and is handed out as a C-contiguous view of the requested shape and
@@ -103,28 +106,32 @@ class ConvWorkspace:
         return buf[:nbytes].view(dtype).reshape(shape)
 
 
-def _im2col(x: np.ndarray, ws: ConvWorkspace | None) -> np.ndarray:
-    """[B, C, H, W] -> [B, C*9, H*W] patch matrix for a padded 3x3 window,
-    built in ``ws`` (a fresh workspace when None).
+def _im2col(x: np.ndarray, ws: ConvWorkspace | None) -> Iterator[np.ndarray]:
+    """Yield the [C*9, H*W] patch matrix of each sample of [B, C, H, W] x,
+    for a padded 3x3 window. All samples share one buffer in ``ws`` (a fresh
+    workspace when None), so a yielded matrix is valid until the next one
+    is requested.
 
     Row c*9 + (i*3 + j) holds channel c shifted by kernel tap (i, j), so a
-    single GEMM against the [N, C*9] weight matrix computes the layer. The
-    taps fill a [B, C, 3, 3, H, W] buffer, whose reshape is a view.
+    GEMM against the [N, C*9] weight matrix computes the sample's output.
+    The padded buffer's border is zeroed once per call; each sample fills
+    its interior, and one copy of its [C, 3, 3, H, W] window view fills the
+    patch buffer.
     """
     if ws is None:
         ws = ConvWorkspace()
-    b, c, h, w = x.shape
-    xp = ws.view("padded", (b, c, h + 2 * PAD, w + 2 * PAD), x.dtype)
-    xp[:, :, :PAD] = 0
-    xp[:, :, -PAD:] = 0
-    xp[:, :, PAD:-PAD, :PAD] = 0
-    xp[:, :, PAD:-PAD, -PAD:] = 0
-    xp[:, :, PAD:-PAD, PAD:-PAD] = x
-    cols = ws.view("cols", (b, c, KERNEL_SIZE, KERNEL_SIZE, h, w), x.dtype)
-    for i in range(KERNEL_SIZE):
-        for j in range(KERNEL_SIZE):
-            cols[:, :, i, j] = xp[:, :, i : i + h, j : j + w]
-    return cols.reshape(b, c * KERNEL_SIZE * KERNEL_SIZE, h * w)
+    _, c, h, w = x.shape
+    xp = ws.view("padded", (c, h + 2 * PAD, w + 2 * PAD), x.dtype)
+    xp[:, :PAD] = 0
+    xp[:, -PAD:] = 0
+    xp[:, PAD:-PAD, :PAD] = 0
+    xp[:, PAD:-PAD, -PAD:] = 0
+    taps = np.lib.stride_tricks.sliding_window_view(xp, (h, w), axis=(1, 2))
+    cols = ws.view("cols", (c, KERNEL_SIZE, KERNEL_SIZE, h, w), x.dtype)
+    for sample in x:
+        xp[:, PAD:-PAD, PAD:-PAD] = sample
+        cols[...] = taps
+        yield cols.reshape(c * KERNEL_SIZE * KERNEL_SIZE, h * w)
 
 
 def conv2d_forward(
@@ -133,7 +140,7 @@ def conv2d_forward(
     """Cross-correlate [B, C, H, W] with params, zero padding 1, stride 1.
 
     Returns the [B, N, H, W] output, bias added per output channel when
-    present. ``ws`` holds the patch matrix while the GEMM runs.
+    present. ``ws`` holds each sample's patch matrix while its GEMM runs.
     """
     if x.ndim != 4:
         raise ValueError(f"conv input must be [B, C, H, W], got shape {x.shape}")
@@ -144,9 +151,10 @@ def conv2d_forward(
         )
     b, _, h, w = x.shape
     n = params.out_channels
-    cols = _im2col(x, ws)
     wmat = params.weights.reshape(n, -1).astype(x.dtype, copy=False)
-    y = np.matmul(wmat, cols)  # [B, N, H*W]
+    y = np.empty((b, n, h * w), x.dtype)
+    for y_k, cols in zip(y, _im2col(x, ws)):
+        np.matmul(wmat, cols, out=y_k)
     if params.bias is not None:
         y += params.bias.astype(x.dtype, copy=False)[:, None]
     return y.reshape(b, n, h, w)
@@ -159,7 +167,8 @@ def conv2d_backward(
     ws: ConvWorkspace | None = None,
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Parameter gradients of conv2d_forward on input x: (grad_weights,
-    grad_bias). The input's patch matrix is rebuilt in ``ws``.
+    grad_bias). Each sample's patch matrix is rebuilt in ``ws``, and the
+    per-sample products are summed over the batch.
 
     grad_bias is None when the layer has no bias. The input gradient is
     :func:`conv2d_grad_input`, which needs no x.
@@ -171,10 +180,11 @@ def conv2d_backward(
             f"grad_out shape {grad_out.shape} does not fit input {x.shape} "
             f"and weights {params.weights.shape}"
         )
-    cols = _im2col(x, ws)
     gmat = grad_out.reshape(b, n, h * w)
-    grad_w = np.matmul(gmat, cols.transpose(0, 2, 1)).sum(axis=0)
-    grad_w = grad_w.reshape(n, c, KERNEL_SIZE, KERNEL_SIZE)
+    per = np.empty((b, n, c * KERNEL_SIZE * KERNEL_SIZE), np.result_type(gmat, x))
+    for per_k, g_k, cols in zip(per, gmat, _im2col(x, ws)):
+        np.matmul(g_k, cols.T, out=per_k)
+    grad_w = per.sum(axis=0).reshape(n, c, KERNEL_SIZE, KERNEL_SIZE)
     grad_b = grad_out.sum(axis=(0, 2, 3)) if params.bias is not None else None
     return grad_w, grad_b
 
@@ -221,9 +231,10 @@ def batchnorm_forward(
     if m < 2:
         raise ValueError("train mode needs >= 2 samples per channel")
     mean = x.mean(axis=(0, 2, 3))
-    var = x.var(axis=(0, 2, 3))
+    xc = x - mean[None, :, None, None]
+    var = (xc * xc).sum(axis=(0, 2, 3)) / m  # np.var's own steps, centering once
     inv_std = 1.0 / np.sqrt(var + dt.type(params.epsilon))
-    y = gamma * (x - mean[None, :, None, None]) * inv_std[None, :, None, None] + beta
+    y = gamma * xc * inv_std[None, :, None, None] + beta
     return y, BnStats(mean, var)
 
 

@@ -1,5 +1,7 @@
 """Layer-op tests: trivial cases, loop-nest oracles, and finite differences."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -148,6 +150,33 @@ class TestConvBackward:
             conv_grads(x, params, np.zeros((1, 2, 5, 4)))
 
 
+def batched_conv(x, params, g):
+    """(y, grad_weights, grad_input) from one [B, 9C, HW] patch matrix for the
+    whole batch, one batched GEMM per op and a batch sum for the weights."""
+
+    def patches(a):
+        b, c, h, w = a.shape
+        ap = np.pad(a, ((0, 0), (0, 0), (1, 1), (1, 1)))
+        cols = np.empty((b, c, 3, 3, h, w), a.dtype)
+        for i in range(3):
+            for j in range(3):
+                cols[:, :, i, j] = ap[:, :, i : i + h, j : j + w]
+        return cols.reshape(b, 9 * c, h * w)
+
+    def forward(a, weights, bias):
+        wmat = weights.reshape(len(weights), -1).astype(a.dtype, copy=False)
+        y = np.matmul(wmat, patches(a))
+        if bias is not None:
+            y += bias.astype(a.dtype, copy=False)[:, None]
+        return y.reshape(a.shape[0], len(weights), *a.shape[2:])
+
+    b, n, h, w = g.shape
+    y = forward(x, params.weights, params.bias)
+    gw = np.matmul(g.reshape(b, n, h * w), patches(x).transpose(0, 2, 1)).sum(axis=0)
+    w_flip = np.ascontiguousarray(params.weights[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))
+    return y, gw.reshape(params.weights.shape), forward(g, w_flip, None)
+
+
 class TestConvWorkspace:
     def test_reuse_across_shapes_and_dtypes_matches_fresh_calls(self):
         # Start from buffers full of NaN, at least as large as any view the
@@ -156,17 +185,18 @@ class TestConvWorkspace:
         rng = np.random.default_rng(8)
         c, n, h, w = 3, 4, 5, 7
         ws = ConvWorkspace()
-        ws.view("padded", (8, n, h + 2, w + 2), np.float64)[...] = np.nan
-        ws.view("cols", (8, 9 * n, h * w), np.float64)[...] = np.nan
+        ws.view("padded", (n, h + 2, w + 2), np.float64)[...] = np.nan
+        ws.view("cols", (9 * n, h * w), np.float64)[...] = np.nan
         for b, dtype in ((8, np.float32), (2, np.float32), (2, np.float64), (8, np.float32)):
             x = rng.standard_normal((b, c, h, w)).astype(dtype)
             g = rng.standard_normal((b, n, h, w)).astype(dtype)
             params = rand_conv(rng, n, c, dtype=dtype)
 
             y = conv2d_forward(x, params, ws)
-            padded = ws.view("padded", (b, c, h + 2, w + 2), dtype)
-            np.testing.assert_array_equal(padded[:, :, 1:-1, 1:-1], x)
-            padded[:, :, 1:-1, 1:-1] = 0
+            # the padded buffer holds one sample: the last one built
+            padded = ws.view("padded", (c, h + 2, w + 2), dtype)
+            np.testing.assert_array_equal(padded[:, 1:-1, 1:-1], x[-1])
+            padded[:, 1:-1, 1:-1] = 0
             assert not padded.any(), "padded border is not zero"
             np.testing.assert_array_equal(y, conv2d_forward(x, params))
             for have, fresh in zip(
@@ -177,6 +207,35 @@ class TestConvWorkspace:
                 conv2d_grad_input(params, g, ws), conv2d_grad_input(params, g)
             )
             assert y.dtype == dtype
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("n", [1, 16])
+    @pytest.mark.parametrize("b", [1, 3, 8])
+    def test_per_sample_patches_match_batched_gemm_bitwise(self, b, n, dtype):
+        # n=1 is the last layer, whose per-sample product is a GEMV
+        rng = np.random.default_rng(100 * b + n)
+        c, h, w = 5, 11, 13
+        x = rng.standard_normal((b, c, h, w)).astype(dtype)
+        g = rng.standard_normal((b, n, h, w)).astype(dtype)
+        params = rand_conv(rng, n, c, dtype=dtype)
+        y, gw, gx = batched_conv(x, params, g)
+        ws = ConvWorkspace()
+        assert conv2d_forward(x, params, ws).tobytes() == y.tobytes()
+        assert conv2d_backward(x, params, g, ws)[0].tobytes() == gw.tobytes()
+        assert conv2d_grad_input(params, g, ws).tobytes() == gx.tobytes()
+
+    def test_forward_holds_no_batch_wide_patch_matrix(self):
+        rng = np.random.default_rng(9)
+        b, c, n, h, w = 8, 16, 16, 64, 64
+        x = rng.standard_normal((b, c, h, w)).astype(np.float32)
+        params = rand_conv(rng, n, c, dtype=np.float32)
+        tracemalloc.start()
+        try:
+            conv2d_forward(x, params, ConvWorkspace())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < b * 9 * c * h * w * x.itemsize
 
 
 conv_cases = given(

@@ -16,6 +16,9 @@ without their timestamps and wall times, and with the temporary working
 directory replaced by a fixed name. The gen-data configs set every optional
 key in one run and none in the other, including a test study that sets
 none of its own keys and a ``phantoms.n_lesions`` it must not inherit.
+It also pins two train steps (predictions, loss, gradients), the trained
+network and an infer pass at the shape of an N2N run on a full slice: a
+6x16 net on 128x128 slices, batch 8.
 """
 
 from __future__ import annotations
@@ -33,12 +36,18 @@ import numpy as np
 
 from tgdkit import cli
 from tgdkit.kse import KseConfig, drop_kernels, kse_scores
-from tgdkit.masking import build_masks
-from tgdkit.model import NetworkConfig, network_hash
+from tgdkit.masking import MaskedAdam, all_ones_masks, build_masks, commit_running_stats
+from tgdkit.model import (
+    NetworkConfig, backward, build_network, denoise_volume, forward_train, network_hash,
+)
+from tgdkit.ops import ConvWorkspace
 from tgdkit.phantom import ScanProtocol, build_dataset, make_study, random_phantom_spec
-from tgdkit.training import TrainConfig, finetune_tgd, online_n2n, train_scratch
+from tgdkit.training import (
+    TrainConfig, finetune_tgd, mse_loss, online_n2n, pairs_to_arrays, train_scratch,
+)
 
 NET = NetworkConfig(depth=5, channels=16, input_slices=3)
+FULL_SLICE_NET = NetworkConfig(depth=6, channels=16, input_slices=3)
 CLI_NET = {"depth": 4, "channels": 8, "input_slices": 3}
 VOLATILE = ("created_utc", "wall_time_s")
 
@@ -91,6 +100,38 @@ def protocols() -> dict:
                 out[f"{at}/drop/dropped_fraction"] = dropped.dropped_fraction
                 masks = build_masks(base, report, t)
                 out[f"{at}/masks.json"] = sha(masks.to_json().encode())
+    return out
+
+
+def full_slice_steps() -> dict:
+    """Two Adam steps and an infer pass of a 6x16 net at 128x128, batch 8,
+    on the two N2N halves of one study, each the other's target."""
+    rng = np.random.default_rng(11)
+    study = make_study(
+        random_phantom_spec(rng, 128, 128, slices=4), ScanProtocol(1.5, 2e5, seed=6),
+        n2n_split=True,
+    )
+    a, b = study.realizations["n2n"]
+    x, y = pairs_to_arrays([(a, b), (b, a)], FULL_SLICE_NET.input_slices)
+    net = build_network(FULL_SLICE_NET, seed=2)
+    masks = all_ones_masks(net)
+    opt = MaskedAdam(net, masks, lr=1e-3)
+    ws = ConvWorkspace()
+    out = {}
+    for step in range(2):
+        pred, caches = forward_train(net, x, ws)
+        loss, grad_y = mse_loss(pred, y)
+        grads = backward(net, caches, grad_y, ws)
+        key = f"full_slice/step={step}"
+        out[f"{key}/pred"] = sha(pred.tobytes())
+        out[f"{key}/loss"] = loss
+        out[f"{key}/grads"] = sha(b"".join(g.tobytes() for g in grads))
+        for blk, cache, mask in zip(net.blocks, caches, masks):
+            if blk.bn is not None:
+                commit_running_stats(blk.bn, cache.bn_stats, mask)
+        opt.step(net, grads)
+    out["full_slice/network_hash"] = network_hash(net)
+    out["full_slice/infer"] = sha(denoise_volume(net, a).tobytes())
     return out
 
 
@@ -175,6 +216,7 @@ def cli_flow(work: Path) -> dict:
 
 def main() -> int:
     result = protocols()
+    result.update(full_slice_steps())
     with tempfile.TemporaryDirectory(prefix="tgdkit-parity-") as tmp:
         result.update(cli_flow(Path(os.path.realpath(tmp))))
     json.dump(result, sys.stdout, indent=1, sort_keys=True)
