@@ -5,8 +5,11 @@ file values); kse-report, prune-eval and evaluate read no config file and
 take their inputs as arguments and flags. Every subcommand writes its
 outputs plus a run manifest into one output directory, and exits 0 on
 success, 2 on config problems, 3 on data/weight problems. A command
-computes all of its outputs before it creates the output directory, so a
-failing run leaves nothing behind. The manifest's ``config`` holds the fully
+computes all of its outputs and checks its output paths before it creates
+the output directory, so a run that fails in either leaves nothing behind.
+An error raised while the files are written (an output path that is a
+dangling symlink, say) can leave the outputs written before it and no
+manifest, which is written last. The manifest's ``config`` holds the fully
 resolved config, or for the commands without a config file their arguments,
 so a run can be reproduced byte for byte from the manifest alone. The
 manifest hashes the file each input and output entry names; for a dataset or

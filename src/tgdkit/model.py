@@ -23,7 +23,6 @@ from .ops import (
     BatchNormParams,
     BnStats,
     ConvParams,
-    ConvWorkspace,
     batchnorm_backward,
     batchnorm_forward,
     conv2d_backward,
@@ -201,14 +200,12 @@ def _check_input(net: Network, x: np.ndarray) -> None:
         raise ValueError(f"spatial size must be >= 3x3, got {x.shape[2:]}")
 
 
-def _run(
-    net: Network, x: np.ndarray, mode: str, ws: ConvWorkspace | None, want_cache: bool
-):
+def _run(net: Network, x: np.ndarray, mode: str, want_cache: bool):
     center = net.config.input_slices // 2
     h = x
     caches: list[BlockCache] = []
     for block in net.blocks:
-        conv_out = conv2d_forward(h, block.conv, ws)
+        conv_out = conv2d_forward(h, block.conv)
         bn_stats = None
         out = conv_out
         if block.bn is not None:
@@ -227,38 +224,27 @@ def forward(net: Network, x: np.ndarray, mode: str = "infer") -> np.ndarray:
 
     The residual head adds the center input slice to the last conv output.
     Train mode normalizes by batch statistics (running stats are never
-    mutated here); infer mode uses the stored running statistics. The
-    layers share one conv workspace for the call.
+    mutated here); infer mode uses the stored running statistics.
     """
     _check_input(net, x)
-    y, _ = _run(net, x, mode, ConvWorkspace(), want_cache=False)
+    y, _ = _run(net, x, mode, want_cache=False)
     return y
 
 
-def forward_train(
-    net: Network, x: np.ndarray, ws: ConvWorkspace | None = None
-) -> tuple[np.ndarray, list[BlockCache]]:
+def forward_train(net: Network, x: np.ndarray) -> tuple[np.ndarray, list[BlockCache]]:
     """Train-mode forward that also returns the per-block caches
     :func:`backward` needs (conv inputs, batchnorm inputs, batch statistics).
-
-    ``ws`` is the conv workspace a training run reuses across its steps;
-    None gives each conv call fresh buffers.
     """
     _check_input(net, x)
-    return _run(net, x, "train", ws, want_cache=True)
+    return _run(net, x, "train", want_cache=True)
 
 
-def backward(
-    net: Network,
-    caches: list[BlockCache],
-    grad_y: np.ndarray,
-    ws: ConvWorkspace | None = None,
-) -> list[np.ndarray]:
+def backward(net: Network, caches: list[BlockCache], grad_y: np.ndarray) -> list[np.ndarray]:
     """Backprop grad_y (d loss / d output) through a cached train-mode forward.
 
     Returns the trained arrays' gradients in ``array_table`` order. Neither
     the residual branch nor the gradient wrt the network input reaches a
-    parameter, so neither is computed. ``ws`` is as in :func:`forward_train`.
+    parameter, so neither is computed.
     """
     if len(caches) != len(net.blocks):
         raise ValueError("cache/block count mismatch; run forward with want_cache=True")
@@ -273,11 +259,9 @@ def backward(
             g, grads[i, "bn.gamma"], grads[i, "bn.beta"] = batchnorm_backward(
                 cache.conv_out, block.bn, cache.bn_stats, g
             )
-        grads[i, "conv.weight"], grads[i, "conv.bias"] = conv2d_backward(
-            cache.x, block.conv, g, ws
-        )
+        grads[i, "conv.weight"], grads[i, "conv.bias"] = conv2d_backward(cache.x, block.conv, g)
         if i > 0:
-            g = conv2d_grad_input(block.conv, g, ws)
+            g = conv2d_grad_input(block.conv, g)
     return [grads[i, name] for i, name, _ in array_table(net.config, trained_only=True)]
 
 

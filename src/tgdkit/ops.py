@@ -1,8 +1,7 @@
 """Dense-tensor layer ops with hand-written forward and backward passes.
 
 Everything here is a pure function over numpy arrays: no op mutates its
-inputs, and identical inputs give bit-identical outputs. The conv ops write
-only into the scratch buffers of a ConvWorkspace. Arrays are NCHW,
+inputs, and identical inputs give bit-identical outputs. Arrays are NCHW,
 kernels are fixed at 3x3 with zero padding 1 so spatial size is preserved.
 Compute dtype follows the input dtype (float32 for training, float64 for
 gradient checks).
@@ -10,7 +9,6 @@ gradient checks).
 
 from __future__ import annotations
 
-import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import ClassVar
@@ -80,67 +78,40 @@ class BnStats:
     var: np.ndarray
 
 
-class ConvWorkspace:
-    """Scratch memory the conv ops reuse for one sample's zero-padded input
-    and patch matrix, so same-shaped layers, samples and steps allocate them
-    once. No buffer spans the batch: the conv ops fill them one sample at a
-    time.
-
-    Each role keeps one flat byte buffer that grows to the largest request
-    and is handed out as a C-contiguous view of the requested shape and
-    dtype. A view is valid until the next request for its role. The owner
-    (a training run, or one ``model.forward`` call) passes the workspace
-    down; it holds no result, so the ops stay pure functions of their
-    arguments.
-    """
-
-    def __init__(self):
-        self._buffers: dict[str, np.ndarray] = {}
-
-    def view(self, role: str, shape: tuple[int, ...], dtype) -> np.ndarray:
-        dtype = np.dtype(dtype)
-        nbytes = math.prod(shape) * dtype.itemsize
-        buf = self._buffers.get(role)
-        if buf is None or buf.nbytes < nbytes:
-            buf = self._buffers[role] = np.empty(nbytes, dtype=np.uint8)
-        return buf[:nbytes].view(dtype).reshape(shape)
-
-
-def _im2col(x: np.ndarray, ws: ConvWorkspace | None) -> Iterator[np.ndarray]:
+def _im2col(x: np.ndarray) -> Iterator[np.ndarray]:
     """Yield the [C*9, H*W] patch matrix of each sample of [B, C, H, W] x,
-    for a padded 3x3 window. All samples share one buffer in ``ws`` (a fresh
-    workspace when None), so a yielded matrix is valid until the next one
-    is requested.
+    for a padded 3x3 window. All samples share one buffer, so a yielded
+    matrix is valid until the next one is requested.
 
     Row c*9 + (i*3 + j) holds channel c shifted by kernel tap (i, j), so a
     GEMM against the [N, C*9] weight matrix computes the sample's output.
-    The padded buffer's border is zeroed once per call; each sample fills
-    its interior, and one copy of its [C, 3, 3, H, W] window view fills the
-    patch buffer.
+    Each sample is written three times, shifted by column tap j, into the
+    zero-bordered rows of ``shifted[c, j]``; tap (i, j) of channel c is then
+    the contiguous run of H*W values from row i of ``shifted[c, j]``. A
+    strided view lays those runs out in row order, and one copy of it fills
+    the patch buffer.
     """
-    if ws is None:
-        ws = ConvWorkspace()
     _, c, h, w = x.shape
-    xp = ws.view("padded", (c, h + 2 * PAD, w + 2 * PAD), x.dtype)
-    xp[:, :PAD] = 0
-    xp[:, -PAD:] = 0
-    xp[:, PAD:-PAD, :PAD] = 0
-    xp[:, PAD:-PAD, -PAD:] = 0
-    taps = np.lib.stride_tricks.sliding_window_view(xp, (h, w), axis=(1, 2))
-    cols = ws.view("cols", (c, KERNEL_SIZE, KERNEL_SIZE, h, w), x.dtype)
+    k = KERNEL_SIZE
+    # shifted[c, j, PAD + y, x'] = x[c, y, x' + j - PAD], zero outside x
+    shifted = np.zeros((c, k, h + 2 * PAD, w), x.dtype)
+    s_c, s_j, s_h, s_w = shifted.strides
+    taps = np.ndarray((c, k, k, h * w), x.dtype, shifted, 0, (s_c, s_h, s_j, s_w))
+    cols = np.empty((c * k * k, h * w), x.dtype)
+    window = cols.reshape(taps.shape)
     for sample in x:
-        xp[:, PAD:-PAD, PAD:-PAD] = sample
-        cols[...] = taps
-        yield cols.reshape(c * KERNEL_SIZE * KERNEL_SIZE, h * w)
+        shifted[:, 0, PAD:-PAD, PAD:] = sample[:, :, :-PAD]
+        shifted[:, 1, PAD:-PAD] = sample
+        shifted[:, 2, PAD:-PAD, :-PAD] = sample[:, :, PAD:]
+        window[...] = taps
+        yield cols
 
 
-def conv2d_forward(
-    x: np.ndarray, params: ConvParams, ws: ConvWorkspace | None = None
-) -> np.ndarray:
+def conv2d_forward(x: np.ndarray, params: ConvParams) -> np.ndarray:
     """Cross-correlate [B, C, H, W] with params, zero padding 1, stride 1.
 
     Returns the [B, N, H, W] output, bias added per output channel when
-    present. ``ws`` holds each sample's patch matrix while its GEMM runs.
+    present. Each sample's patch matrix is built while its GEMM runs.
     """
     if x.ndim != 4:
         raise ValueError(f"conv input must be [B, C, H, W], got shape {x.shape}")
@@ -153,7 +124,7 @@ def conv2d_forward(
     n = params.out_channels
     wmat = params.weights.reshape(n, -1).astype(x.dtype, copy=False)
     y = np.empty((b, n, h * w), x.dtype)
-    for y_k, cols in zip(y, _im2col(x, ws)):
+    for y_k, cols in zip(y, _im2col(x)):
         np.matmul(wmat, cols, out=y_k)
     if params.bias is not None:
         y += params.bias.astype(x.dtype, copy=False)[:, None]
@@ -161,14 +132,11 @@ def conv2d_forward(
 
 
 def conv2d_backward(
-    x: np.ndarray,
-    params: ConvParams,
-    grad_out: np.ndarray,
-    ws: ConvWorkspace | None = None,
+    x: np.ndarray, params: ConvParams, grad_out: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Parameter gradients of conv2d_forward on input x: (grad_weights,
-    grad_bias). Each sample's patch matrix is rebuilt in ``ws``, and the
-    per-sample products are summed over the batch.
+    grad_bias). Each sample's patch matrix is rebuilt, and the per-sample
+    products are summed over the batch.
 
     grad_bias is None when the layer has no bias. The input gradient is
     :func:`conv2d_grad_input`, which needs no x.
@@ -182,23 +150,21 @@ def conv2d_backward(
         )
     gmat = grad_out.reshape(b, n, h * w)
     per = np.empty((b, n, c * KERNEL_SIZE * KERNEL_SIZE), np.result_type(gmat, x))
-    for per_k, g_k, cols in zip(per, gmat, _im2col(x, ws)):
+    for per_k, g_k, cols in zip(per, gmat, _im2col(x)):
         np.matmul(g_k, cols.T, out=per_k)
     grad_w = per.sum(axis=0).reshape(n, c, KERNEL_SIZE, KERNEL_SIZE)
     grad_b = grad_out.sum(axis=(0, 2, 3)) if params.bias is not None else None
     return grad_w, grad_b
 
 
-def conv2d_grad_input(
-    params: ConvParams, grad_out: np.ndarray, ws: ConvWorkspace | None = None
-) -> np.ndarray:
+def conv2d_grad_input(params: ConvParams, grad_out: np.ndarray) -> np.ndarray:
     """Gradient of conv2d_forward wrt its input: the correlation of grad_out
     with the 180-degree-rotated kernels, output and input channel roles
     swapped."""
     w_flip = np.ascontiguousarray(
         params.weights[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
     )
-    return conv2d_forward(grad_out, ConvParams(w_flip), ws)
+    return conv2d_forward(grad_out, ConvParams(w_flip))
 
 
 def batchnorm_forward(
@@ -224,7 +190,11 @@ def batchnorm_forward(
     if mode == "infer":
         mean = params.running_mean.astype(dt, copy=False)[None, :, None, None]
         var = params.running_var.astype(dt, copy=False)[None, :, None, None]
-        y = gamma * (x - mean) / np.sqrt(var + dt.type(params.epsilon)) + beta
+        # gamma * (x - mean) / sqrt(var + eps) + beta, in one buffer
+        y = np.subtract(x, mean)
+        np.multiply(gamma, y, out=y)
+        y /= np.sqrt(var + dt.type(params.epsilon))
+        y += beta
         return y, None
 
     m = x.shape[0] * x.shape[2] * x.shape[3]
@@ -232,9 +202,13 @@ def batchnorm_forward(
         raise ValueError("train mode needs >= 2 samples per channel")
     mean = x.mean(axis=(0, 2, 3))
     xc = x - mean[None, :, None, None]
-    var = (xc * xc).sum(axis=(0, 2, 3)) / m  # np.var's own steps, centering once
+    y = np.multiply(xc, xc)
+    var = y.sum(axis=(0, 2, 3)) / m  # np.var's own steps, centering once
     inv_std = 1.0 / np.sqrt(var + dt.type(params.epsilon))
-    y = gamma * xc * inv_std[None, :, None, None] + beta
+    # gamma * xc * inv_std + beta, in the buffer that held xc * xc
+    np.multiply(gamma, xc, out=y)
+    y *= inv_std[None, :, None, None]
+    y += beta
     return y, BnStats(mean, var)
 
 
@@ -250,15 +224,22 @@ def batchnorm_backward(
     dt = x.dtype
     m = x.shape[0] * x.shape[2] * x.shape[3]
     inv_std = (1.0 / np.sqrt(stats.var + dt.type(params.epsilon)))[None, :, None, None]
-    x_hat = (x - stats.mean[None, :, None, None]) * inv_std
+    x_hat = np.subtract(x, stats.mean[None, :, None, None])
+    x_hat *= inv_std
 
-    grad_gamma = (grad_out * x_hat).sum(axis=(0, 2, 3))
+    prod = np.multiply(grad_out, x_hat)
+    grad_gamma = prod.sum(axis=(0, 2, 3))
     grad_beta = grad_out.sum(axis=(0, 2, 3))
 
-    g_hat = grad_out * params.gamma.astype(dt, copy=False)[None, :, None, None]
+    g_hat = np.multiply(grad_out, params.gamma.astype(dt, copy=False)[None, :, None, None])
     sum_g = g_hat.sum(axis=(0, 2, 3), keepdims=True)
-    sum_gx = (g_hat * x_hat).sum(axis=(0, 2, 3), keepdims=True)
-    grad_x = (inv_std / m) * (m * g_hat - sum_g - x_hat * sum_gx)
+    np.multiply(g_hat, x_hat, out=prod)
+    sum_gx = prod.sum(axis=(0, 2, 3), keepdims=True)
+    # grad_x = (inv_std / m) * (m * g_hat - sum_g - x_hat * sum_gx), built in g_hat
+    grad_x = np.multiply(m, g_hat, out=g_hat)
+    grad_x -= sum_g
+    grad_x -= np.multiply(x_hat, sum_gx, out=prod)
+    np.multiply(inv_std / m, grad_x, out=grad_x)
     return grad_x, grad_gamma, grad_beta
 
 
@@ -268,7 +249,16 @@ def relu_forward(x: np.ndarray) -> np.ndarray:
 
 
 def relu_backward(x: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
-    """Pass gradient where the forward input was strictly positive."""
+    """Pass gradient where the forward input was strictly positive.
+
+    Equal byte for byte to ``np.where(x > 0, grad_out, 0)``: the gradient's
+    bits are ANDed with all-ones where x > 0 and with zero (+0.0) elsewhere,
+    which has no data-dependent branch to mispredict.
+    """
     if grad_out.shape != x.shape:
         raise ValueError(f"grad_out shape {grad_out.shape} != input shape {x.shape}")
-    return np.where(x > 0, grad_out, grad_out.dtype.type(0))
+    bits = np.dtype(f"i{grad_out.itemsize}")
+    keep = (x > 0).view(np.int8).astype(bits)
+    np.negative(keep, out=keep)
+    keep &= grad_out.view(bits)
+    return keep.view(grad_out.dtype)

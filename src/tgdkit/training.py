@@ -36,7 +36,6 @@ from .model import (
     network_hash,
     volume_to_samples,
 )
-from .ops import ConvWorkspace
 from .phantom import json_text
 
 MODES = ("scratch", "tgd_finetune", "n2n_online")
@@ -151,7 +150,6 @@ def _train_loop(
     m = x.shape[0]
     opt = MaskedAdam(net, conv_masks, config.learning_rate, config.weight_decay)
     rng = np.random.default_rng(config.seed)
-    ws = ConvWorkspace()
     losses = []
     for _ in range(config.epochs):
         perm = rng.permutation(m)
@@ -159,7 +157,7 @@ def _train_loop(
         for start in range(0, m, config.batch_size):
             idx = perm[start : start + config.batch_size]
             xb, yb = x[idx], y[idx]
-            pred, caches = forward_train(net, xb, ws)
+            pred, caches = forward_train(net, xb)
             loss, grad_y = mse_loss(pred, yb)
             if not math.isfinite(loss):
                 raise NonFiniteLossError(
@@ -168,7 +166,7 @@ def _train_loop(
             for blk, cache, mask in zip(net.blocks, caches, conv_masks):
                 if blk.bn is not None:
                     commit_running_stats(blk.bn, cache.bn_stats, mask)
-            opt.step(net, backward(net, caches, grad_y, ws))
+            opt.step(net, backward(net, caches, grad_y))
             epoch_loss += loss * len(idx)
         losses.append(epoch_loss / m)
     return losses

@@ -254,9 +254,9 @@ class TestBackward:
         calls = []
         grad_input = model.conv2d_grad_input
 
-        def counted(params, grad_out, ws=None):
+        def counted(params, grad_out):
             calls.append(params.in_channels)
-            return grad_input(params, grad_out, ws)
+            return grad_input(params, grad_out)
 
         monkeypatch.setattr(model, "conv2d_grad_input", counted)
         net = build_network(NetworkConfig(depth=4, channels=5), seed=1)

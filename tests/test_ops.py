@@ -11,7 +11,6 @@ from tgdkit.masking import commit_running_stats
 from tgdkit.ops import (
     BatchNormParams,
     ConvParams,
-    ConvWorkspace,
     batchnorm_backward,
     batchnorm_forward,
     conv2d_backward,
@@ -178,35 +177,9 @@ def batched_conv(x, params, g):
 
 
 class TestConvWorkspace:
-    def test_reuse_across_shapes_and_dtypes_matches_fresh_calls(self):
-        # Start from buffers full of NaN, at least as large as any view the
-        # calls below take, so every view reuses memory that held other
-        # data: a stale border or tap would show in the results.
-        rng = np.random.default_rng(8)
-        c, n, h, w = 3, 4, 5, 7
-        ws = ConvWorkspace()
-        ws.view("padded", (n, h + 2, w + 2), np.float64)[...] = np.nan
-        ws.view("cols", (9 * n, h * w), np.float64)[...] = np.nan
-        for b, dtype in ((8, np.float32), (2, np.float32), (2, np.float64), (8, np.float32)):
-            x = rng.standard_normal((b, c, h, w)).astype(dtype)
-            g = rng.standard_normal((b, n, h, w)).astype(dtype)
-            params = rand_conv(rng, n, c, dtype=dtype)
-
-            y = conv2d_forward(x, params, ws)
-            # the padded buffer holds one sample: the last one built
-            padded = ws.view("padded", (c, h + 2, w + 2), dtype)
-            np.testing.assert_array_equal(padded[:, 1:-1, 1:-1], x[-1])
-            padded[:, 1:-1, 1:-1] = 0
-            assert not padded.any(), "padded border is not zero"
-            np.testing.assert_array_equal(y, conv2d_forward(x, params))
-            for have, fresh in zip(
-                conv2d_backward(x, params, g, ws), conv2d_backward(x, params, g)
-            ):
-                np.testing.assert_array_equal(have, fresh)
-            np.testing.assert_array_equal(
-                conv2d_grad_input(params, g, ws), conv2d_grad_input(params, g)
-            )
-            assert y.dtype == dtype
+    """The per-call scratch buffers: each conv call reuses its shifted-sample
+    buffer and its patch buffer across its samples, so a stale value left by
+    an earlier sample would show against a batched reference."""
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("n", [1, 16])
@@ -219,10 +192,9 @@ class TestConvWorkspace:
         g = rng.standard_normal((b, n, h, w)).astype(dtype)
         params = rand_conv(rng, n, c, dtype=dtype)
         y, gw, gx = batched_conv(x, params, g)
-        ws = ConvWorkspace()
-        assert conv2d_forward(x, params, ws).tobytes() == y.tobytes()
-        assert conv2d_backward(x, params, g, ws)[0].tobytes() == gw.tobytes()
-        assert conv2d_grad_input(params, g, ws).tobytes() == gx.tobytes()
+        assert conv2d_forward(x, params).tobytes() == y.tobytes()
+        assert conv2d_backward(x, params, g)[0].tobytes() == gw.tobytes()
+        assert conv2d_grad_input(params, g).tobytes() == gx.tobytes()
 
     def test_forward_holds_no_batch_wide_patch_matrix(self):
         rng = np.random.default_rng(9)
@@ -231,7 +203,7 @@ class TestConvWorkspace:
         params = rand_conv(rng, n, c, dtype=np.float32)
         tracemalloc.start()
         try:
-            conv2d_forward(x, params, ConvWorkspace())
+            conv2d_forward(x, params)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -410,6 +382,81 @@ class TestBatchNormBackward:
         assert rel_err(gg, central_difference(loss_of_gamma, params.gamma)).max() < 1e-4
 
 
+def bn_forward_expressions(x, params, mode):
+    """batchnorm_forward as plain expressions, one temporary per operator:
+    (y, mean, var), the statistics None in infer mode."""
+    dt = x.dtype
+    gamma = params.gamma.astype(dt, copy=False)[None, :, None, None]
+    beta = params.beta.astype(dt, copy=False)[None, :, None, None]
+    eps = dt.type(params.epsilon)
+    if mode == "infer":
+        mean = params.running_mean.astype(dt, copy=False)[None, :, None, None]
+        var = params.running_var.astype(dt, copy=False)[None, :, None, None]
+        return gamma * (x - mean) / np.sqrt(var + eps) + beta, None, None
+    m = x.shape[0] * x.shape[2] * x.shape[3]
+    mean = x.mean(axis=(0, 2, 3))
+    xc = x - mean[None, :, None, None]
+    var = (xc * xc).sum(axis=(0, 2, 3)) / m
+    inv_std = 1.0 / np.sqrt(var + eps)
+    return gamma * xc * inv_std[None, :, None, None] + beta, mean, var
+
+
+def bn_backward_expressions(x, params, mean, var, grad_out):
+    """batchnorm_backward as plain expressions: (grad_x, grad_gamma, grad_beta)."""
+    dt = x.dtype
+    m = x.shape[0] * x.shape[2] * x.shape[3]
+    inv_std = (1.0 / np.sqrt(var + dt.type(params.epsilon)))[None, :, None, None]
+    x_hat = (x - mean[None, :, None, None]) * inv_std
+    grad_gamma = (grad_out * x_hat).sum(axis=(0, 2, 3))
+    grad_beta = grad_out.sum(axis=(0, 2, 3))
+    g_hat = grad_out * params.gamma.astype(dt, copy=False)[None, :, None, None]
+    sum_g = g_hat.sum(axis=(0, 2, 3), keepdims=True)
+    sum_gx = (g_hat * x_hat).sum(axis=(0, 2, 3), keepdims=True)
+    grad_x = (inv_std / m) * (m * g_hat - sum_g - x_hat * sum_gx)
+    return grad_x, grad_gamma, grad_beta
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape", [(3, 5, 11, 13), (8, 16, 24, 24)])
+class TestBatchNormMatchesExpressionsBitwise:
+    """The batchnorm passes write into reused buffers; they must give the
+    bytes of the plain expressions they replace."""
+
+    def setup_case(self, shape, dtype):
+        rng = np.random.default_rng(shape[1])
+        c = shape[1]
+        x = (3.0 * rng.standard_normal(shape) + 0.5).astype(dtype)
+        params = BatchNormParams(
+            gamma=rng.standard_normal(c).astype(dtype),
+            beta=rng.standard_normal(c).astype(dtype),
+            running_mean=rng.standard_normal(c).astype(dtype),
+            running_var=rng.uniform(0.1, 3.0, c).astype(dtype),
+        )
+        return rng, x, params
+
+    def test_train_forward(self, shape, dtype):
+        _, x, params = self.setup_case(shape, dtype)
+        y, stats = batchnorm_forward(x, params, "train")
+        want, mean, var = bn_forward_expressions(x, params, "train")
+        assert y.tobytes() == want.tobytes()
+        assert stats.mean.tobytes() == mean.tobytes()
+        assert stats.var.tobytes() == var.tobytes()
+
+    def test_infer_forward(self, shape, dtype):
+        _, x, params = self.setup_case(shape, dtype)
+        y, _ = batchnorm_forward(x, params, "infer")
+        assert y.tobytes() == bn_forward_expressions(x, params, "infer")[0].tobytes()
+
+    def test_backward(self, shape, dtype):
+        rng, x, params = self.setup_case(shape, dtype)
+        g = rng.standard_normal(shape).astype(dtype)
+        _, stats = batchnorm_forward(x, params, "train")
+        have = batchnorm_backward(x, params, stats, g)
+        want = bn_backward_expressions(x, params, stats.mean, stats.var, g)
+        for a, b in zip(have, want):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
 class TestRelu:
     def test_forward_definition(self):
         np.testing.assert_array_equal(
@@ -419,6 +466,28 @@ class TestRelu:
     def test_backward_definition(self):
         out = relu_backward(np.array([-1.0, 2.0]), np.array([5.0, 5.0]))
         np.testing.assert_array_equal(out, [0.0, 5.0])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_backward_matches_where_bitwise(self, dtype):
+        # every pair of special values, then random bit patterns, which
+        # include NaNs with payloads and both signs
+        info = np.finfo(dtype)
+        special = np.array(
+            [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 1.0, -1.0,
+             info.smallest_subnormal, -info.smallest_subnormal,
+             info.tiny / 2, -info.tiny / 2, info.max, -info.max],
+            dtype,
+        )
+        assert np.signbit(special[3]) and np.isnan(special[3])
+        x, g = np.meshgrid(special, special)
+        bits = np.dtype(f"u{info.bits // 8}")
+        rng = np.random.default_rng(12)
+        rx, rg = rng.integers(0, np.iinfo(bits).max, (2, 4, 3, 7, 5), bits, True)
+        for x, g in ((x, g), (rx.view(dtype), rg.view(dtype))):
+            want = np.where(x > 0, g, 0)
+            have = relu_backward(x, g)
+            assert have.dtype == want.dtype == dtype
+            assert have.tobytes() == want.tobytes()
 
     def test_finite_difference_away_from_kink(self):
         rng = np.random.default_rng(11)

@@ -18,7 +18,9 @@ key in one run and none in the other, including a test study that sets
 none of its own keys and a ``phantoms.n_lesions`` it must not inherit.
 It also pins two train steps (predictions, loss, gradients), the trained
 network and an infer pass at the shape of an N2N run on a full slice: a
-6x16 net on 128x128 slices, batch 8.
+6x16 net on 128x128 slices, batch 8, and the three conv ops at an odd
+spatial shape (11x13), where a BLAS kernel's column tail can round
+differently.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from tgdkit.masking import MaskedAdam, all_ones_masks, build_masks, commit_runni
 from tgdkit.model import (
     NetworkConfig, backward, build_network, denoise_volume, forward_train, network_hash,
 )
-from tgdkit.ops import ConvWorkspace
+from tgdkit.ops import ConvParams, conv2d_backward, conv2d_forward, conv2d_grad_input
 from tgdkit.phantom import ScanProtocol, build_dataset, make_study, random_phantom_spec
 from tgdkit.training import (
     TrainConfig, finetune_tgd, mse_loss, online_n2n, pairs_to_arrays, train_scratch,
@@ -116,12 +118,11 @@ def full_slice_steps() -> dict:
     net = build_network(FULL_SLICE_NET, seed=2)
     masks = all_ones_masks(net)
     opt = MaskedAdam(net, masks, lr=1e-3)
-    ws = ConvWorkspace()
     out = {}
     for step in range(2):
-        pred, caches = forward_train(net, x, ws)
+        pred, caches = forward_train(net, x)
         loss, grad_y = mse_loss(pred, y)
-        grads = backward(net, caches, grad_y, ws)
+        grads = backward(net, caches, grad_y)
         key = f"full_slice/step={step}"
         out[f"{key}/pred"] = sha(pred.tobytes())
         out[f"{key}/loss"] = loss
@@ -132,6 +133,29 @@ def full_slice_steps() -> dict:
         opt.step(net, grads)
     out["full_slice/network_hash"] = network_hash(net)
     out["full_slice/infer"] = sha(denoise_volume(net, a).tobytes())
+    return out
+
+
+def odd_shape_convs() -> dict:
+    """Conv forward, grad-weights and grad-input at an odd spatial shape
+    (5 channels, 11x13, batch 3) with 1 and 16 output channels, in float32
+    and float64. A patch layout that keeps every byte only at some widths
+    changes these hashes even when the networks above, all at even widths,
+    do not."""
+    out = {}
+    for dtype in (np.float32, np.float64):
+        for n in (1, 16):
+            rng = np.random.default_rng(n)
+            x = rng.standard_normal((3, 5, 11, 13)).astype(dtype)
+            g = rng.standard_normal((3, n, 11, 13)).astype(dtype)
+            params = ConvParams(
+                rng.standard_normal((n, 5, 3, 3)).astype(dtype),
+                rng.standard_normal(n).astype(dtype),
+            )
+            key = f"conv/{np.dtype(dtype).name}/n={n}"
+            out[f"{key}/forward"] = sha(conv2d_forward(x, params).tobytes())
+            out[f"{key}/grad_weights"] = sha(conv2d_backward(x, params, g)[0].tobytes())
+            out[f"{key}/grad_input"] = sha(conv2d_grad_input(params, g).tobytes())
     return out
 
 
@@ -217,6 +241,7 @@ def cli_flow(work: Path) -> dict:
 def main() -> int:
     result = protocols()
     result.update(full_slice_steps())
+    result.update(odd_shape_convs())
     with tempfile.TemporaryDirectory(prefix="tgdkit-parity-") as tmp:
         result.update(cli_flow(Path(os.path.realpath(tmp))))
     json.dump(result, sys.stdout, indent=1, sort_keys=True)
