@@ -186,7 +186,9 @@ def num_parameters(net: Network) -> int:
 
 @dataclass
 class BlockCache:
-    x: np.ndarray  # conv input; the backward pass rebuilds its patch matrix
+    # conv input; the backward pass rebuilds its patch matrix, and drops it
+    # (None) after its last reader, the ReLU backward of the block below
+    x: np.ndarray | None
     conv_out: np.ndarray | None  # batchnorm input; None where there is none
     bn_stats: BnStats | None
 
@@ -245,6 +247,13 @@ def backward(net: Network, caches: list[BlockCache], grad_y: np.ndarray) -> list
     Returns the trained arrays' gradients in ``array_table`` order. Neither
     the residual branch nor the gradient wrt the network input reaches a
     parameter, so neither is computed.
+
+    The pass drops each block's cached input (``x``, set to None) once its
+    last reader, the ReLU backward of the block below, has run, so the
+    blocks below run with it freed. The network input, the batchnorm
+    inputs and the batch statistics stay: dropping the batchnorm inputs as
+    well lowers no peak, and at the acceptance shape it made the allocator
+    hand heap pages back and fault them in again on every step.
     """
     if len(caches) != len(net.blocks):
         raise ValueError("cache/block count mismatch; run forward with want_cache=True")
@@ -255,6 +264,7 @@ def backward(net: Network, caches: list[BlockCache], grad_y: np.ndarray) -> list
         if block.relu:
             # its output, the next block's input, is > 0 where its input was
             g = relu_backward(caches[i + 1].x, g)
+            caches[i + 1].x = None
         if block.bn is not None:
             g, grads[i, "bn.gamma"], grads[i, "bn.beta"] = batchnorm_backward(
                 cache.conv_out, block.bn, cache.bn_stats, g

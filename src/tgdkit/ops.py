@@ -90,19 +90,40 @@ def _im2col(x: np.ndarray) -> Iterator[np.ndarray]:
     the contiguous run of H*W values from row i of ``shifted[c, j]``. A
     strided view lays those runs out in row order, and one copy of it fills
     the patch buffer.
+
+    A column shift of the sample's rows is its H*W values as one flat run
+    per channel, shifted by one place, so both side copies (j = 0 and 2)
+    are one strided copy of the sample; the one value per row that wraps
+    in from the neighbouring row is then zeroed again, in one strided write.
     """
+    x = np.ascontiguousarray(x)
     _, c, h, w = x.shape
     k = KERNEL_SIZE
     # shifted[c, j, PAD + y, x'] = x[c, y, x' + j - PAD], zero outside x
     shifted = np.zeros((c, k, h + 2 * PAD, w), x.dtype)
     s_c, s_j, s_h, s_w = shifted.strides
     taps = np.ndarray((c, k, k, h * w), x.dtype, shifted, 0, (s_c, s_h, s_j, s_w))
+    centre = shifted[:, 1, PAD:-PAD]
+    # the rows of shifted[c, j] as one flat run: j = 0 from its second value
+    # on and j = 2 up to its last, filled from x[b, c] read flat from its
+    # first and from its second value
+    hw1 = h * w - 1
+    sides = np.ndarray(
+        (c, 2, hw1), x.dtype, shifted, PAD * s_h + s_w, (s_c, 2 * s_j - s_w, s_w)
+    )
+    x_b, x_c, _, x_w = x.strides
+    runs = np.ndarray((len(x), c, 2, hw1), x.dtype, x, 0, (x_b, x_c, x_w, x_w))
+    # shifted[c, 0, PAD + y, 0] and shifted[c, 2, PAD + y, w - 1], where a
+    # flat run wraps in the last value of the row above or the first below
+    wrapped = np.ndarray(
+        (c, 2, h), x.dtype, shifted, PAD * s_h, (s_c, 2 * s_j + (w - 1) * s_w, s_h)
+    )
     cols = np.empty((c * k * k, h * w), x.dtype)
     window = cols.reshape(taps.shape)
-    for sample in x:
-        shifted[:, 0, PAD:-PAD, PAD:] = sample[:, :, :-PAD]
-        shifted[:, 1, PAD:-PAD] = sample
-        shifted[:, 2, PAD:-PAD, :-PAD] = sample[:, :, PAD:]
+    for sample, run in zip(x, runs):
+        centre[...] = sample
+        sides[...] = run
+        wrapped[...] = 0
         window[...] = taps
         yield cols
 
@@ -138,6 +159,14 @@ def conv2d_backward(
     grad_bias). Each sample's patch matrix is rebuilt, and the per-sample
     products are summed over the batch.
 
+    In float32 each sample's product is taken as ``cols @ g.T`` ([9C, N])
+    and the batch sum transposed once. It is bit-identical to ``g @ cols.T``
+    ([N, 9C]), every element being the same length-HW dot product, and
+    OpenBLAS runs it faster at the training shapes (at 16 channels, 24x24,
+    about 47 against 80 us per sample on one AVX-512 thread, OpenBLAS
+    0.3.31). Other dtypes keep ``g @ cols.T``: OpenBLAS's float64 kernels
+    sum many shapes (N >= 12) in another order when the operands swap.
+
     grad_bias is None when the layer has no bias. The input gradient is
     :func:`conv2d_grad_input`, which needs no x.
     """
@@ -149,10 +178,15 @@ def conv2d_backward(
             f"and weights {params.weights.shape}"
         )
     gmat = grad_out.reshape(b, n, h * w)
-    per = np.empty((b, n, c * KERNEL_SIZE * KERNEL_SIZE), np.result_type(gmat, x))
+    dt = np.result_type(gmat, x)
+    rows = c * KERNEL_SIZE * KERNEL_SIZE
+    swap = dt == np.float32
+    per = np.empty((b, rows, n) if swap else (b, n, rows), dt)
     for per_k, g_k, cols in zip(per, gmat, _im2col(x)):
-        np.matmul(g_k, cols.T, out=per_k)
-    grad_w = per.sum(axis=0).reshape(n, c, KERNEL_SIZE, KERNEL_SIZE)
+        lhs, rhs = (cols, g_k) if swap else (g_k, cols)
+        np.matmul(lhs, rhs.T, out=per_k)
+    total = per.sum(axis=0)
+    grad_w = (total.T if swap else total).reshape(n, c, KERNEL_SIZE, KERNEL_SIZE)
     grad_b = grad_out.sum(axis=(0, 2, 3)) if params.bias is not None else None
     return grad_w, grad_b
 

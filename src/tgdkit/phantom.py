@@ -15,8 +15,10 @@ SciPy regenerate the same bytes.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
+from collections.abc import Callable
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import get_args, get_origin
@@ -619,14 +621,23 @@ def has_kind(value, kind) -> bool:
     """Whether a JSON value is of ``kind``: a type, ``list[kind]`` or a
     union such as ``int | None``. JSON true and false are not ints, an int
     is also a float, and NaN and the infinities are not floats at all."""
+    return _kind_check(kind)(value)
+
+
+@functools.cache
+def _kind_check(kind) -> Callable[[object], bool]:
+    """The test :func:`has_kind` applies for ``kind``, resolved once, so a
+    long list is checked without taking its item kind apart per element."""
     args = get_args(kind)
     if get_origin(kind) is list:
-        return type(value) is list and all(has_kind(v, args[0]) for v in value)
+        item = _kind_check(args[0])
+        return lambda v: type(v) is list and all(map(item, v))
     if args:
-        return any(has_kind(value, k) for k in args)
+        checks = tuple(map(_kind_check, args))
+        return lambda v: any(check(v) for check in checks)
     if kind is float:
-        return type(value) is int or type(value) is float and math.isfinite(value)
-    return type(value) is kind
+        return lambda v: type(v) is int or type(v) is float and math.isfinite(v)
+    return lambda v: type(v) is kind
 
 
 def _inside(directory: Path, name, what: str) -> Path:

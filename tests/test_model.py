@@ -2,6 +2,7 @@
 
 import dataclasses
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -249,6 +250,33 @@ class TestBackward:
         x = np.random.default_rng(6).standard_normal((8, 3, 24, 24)).astype(np.float32)
         _, caches = forward_train(net, x)
         assert caches[0].conv_out is None and caches[-1].conv_out is None
+
+    def test_backward_drops_each_block_input_after_its_last_reader(self):
+        net = build_network(NetworkConfig(depth=5, channels=16), seed=3)
+        x = np.random.default_rng(6).standard_normal((8, 3, 24, 24)).astype(np.float32)
+        y, caches = forward_train(net, x)
+        backward(net, caches, np.ones_like(y))
+        assert caches[0].x is x
+        assert all(cache.x is None for cache in caches[1:])
+
+    def test_step_frees_each_block_input_after_its_last_reader(self):
+        # the first batchnorm backward (block 3) runs after block 4's input,
+        # which only block 3's ReLU backward still read, is freed: one train
+        # step then peaks below what the caches hold plus 3.5 activations of
+        # working set (4.1 while that input was held to the end of the pass)
+        rng = np.random.default_rng(6)
+        net = build_network(NetworkConfig(depth=5, channels=16), seed=3)
+        x = rng.standard_normal((8, 3, 64, 64)).astype(np.float32)
+        activation = x.nbytes * 16 // 3
+        tracemalloc.start()
+        try:
+            y, caches = forward_train(net, x)
+            held, _ = tracemalloc.get_traced_memory()
+            backward(net, caches, np.ones_like(y))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < held + 3.5 * activation
 
     def test_input_gradient_of_first_block_is_not_computed(self, monkeypatch):
         calls = []

@@ -176,6 +176,18 @@ def batched_conv(x, params, g):
     return y, gw.reshape(params.weights.shape), forward(g, w_flip, None)
 
 
+def assert_matches_batched_gemm(c, h, w, b, n, dtype):
+    """The three conv ops equal :func:`batched_conv` byte for byte."""
+    rng = np.random.default_rng(100 * b + n)
+    x = rng.standard_normal((b, c, h, w)).astype(dtype)
+    g = rng.standard_normal((b, n, h, w)).astype(dtype)
+    params = rand_conv(rng, n, c, dtype=dtype)
+    y, gw, gx = batched_conv(x, params, g)
+    assert conv2d_forward(x, params).tobytes() == y.tobytes()
+    assert conv2d_backward(x, params, g)[0].tobytes() == gw.tobytes()
+    assert conv2d_grad_input(params, g).tobytes() == gx.tobytes()
+
+
 class TestConvWorkspace:
     """The per-call scratch buffers: each conv call reuses its shifted-sample
     buffer and its patch buffer across its samples, so a stale value left by
@@ -185,16 +197,25 @@ class TestConvWorkspace:
     @pytest.mark.parametrize("n", [1, 16])
     @pytest.mark.parametrize("b", [1, 3, 8])
     def test_per_sample_patches_match_batched_gemm_bitwise(self, b, n, dtype):
-        # n=1 is the last layer, whose per-sample product is a GEMV
-        rng = np.random.default_rng(100 * b + n)
-        c, h, w = 5, 11, 13
-        x = rng.standard_normal((b, c, h, w)).astype(dtype)
-        g = rng.standard_normal((b, n, h, w)).astype(dtype)
-        params = rand_conv(rng, n, c, dtype=dtype)
-        y, gw, gx = batched_conv(x, params, g)
-        assert conv2d_forward(x, params).tobytes() == y.tobytes()
-        assert conv2d_backward(x, params, g)[0].tobytes() == gw.tobytes()
-        assert conv2d_grad_input(params, g).tobytes() == gx.tobytes()
+        # n=1 is the last layer, whose per-sample product is a GEMV; the odd
+        # widths are where a kernel's column tail can round differently
+        assert_matches_batched_gemm(5, 11, 13, b, n, dtype)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("n", [1, 16])
+    @pytest.mark.parametrize("b", [1, 3, 8])
+    @pytest.mark.parametrize(
+        "c,h,w",
+        [
+            (16, 24, 24),  # the interior blocks of a train step
+            (3, 24, 24),  # block 0, which eats three slices
+            (16, 24, 1),
+            (16, 24, 2),
+            (27, 3, 5),  # OpenBLAS rounds float64 cols @ g.T here unlike g @ cols.T
+        ],
+    )
+    def test_training_shapes_match_batched_gemm_bitwise(self, c, h, w, b, n, dtype):
+        assert_matches_batched_gemm(c, h, w, b, n, dtype)
 
     def test_forward_holds_no_batch_wide_patch_matrix(self):
         rng = np.random.default_rng(9)

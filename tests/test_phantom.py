@@ -14,6 +14,7 @@ from tgdkit.phantom import (
     background_voxels,
     build_dataset,
     generate_phantom,
+    has_kind,
     lesion_voxels,
     load_study,
     make_study,
@@ -23,6 +24,48 @@ from tgdkit.phantom import (
     split_scan,
     thin,
 )
+
+
+class TestHasKind:
+    """The JSON kind rules every config, sidecar and ROI file is read with."""
+
+    @pytest.mark.parametrize("value", [True, False])
+    def test_bool_is_not_int_or_float(self, value):
+        assert not has_kind(value, int)
+        assert not has_kind(value, float)
+        assert has_kind(value, bool)
+
+    @pytest.mark.parametrize("value", [0, -3, 2**70])
+    def test_int_is_also_float(self, value):
+        assert has_kind(value, int) and has_kind(value, float)
+
+    def test_float_is_not_int(self):
+        assert has_kind(1.5, float) and not has_kind(1.0, int)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_is_not_float(self, value):
+        assert not has_kind(value, float)
+        assert not has_kind([1.0, value], list[float])
+
+    def test_nested_lists(self):
+        assert has_kind([[0, 1, 2], [3, 4, 5]], list[list[int]])
+        assert has_kind([], list[list[int]]) and has_kind([[]], list[list[int]])
+        assert not has_kind([[0, 1, 2], [3, 4.0, 5]], list[list[int]])
+        assert not has_kind([[0, 1, 2], [3, True, 5]], list[list[int]])
+        assert not has_kind([[0, 1, 2], (3, 4, 5)], list[list[int]])
+        assert not has_kind([0, 1, 2], list[list[int]])
+        assert not has_kind({"a": [1]}, list[list[int]])
+
+    def test_optional(self):
+        assert has_kind(None, int | None) and has_kind(4, int | None)
+        assert not has_kind(4.0, int | None) and not has_kind(True, int | None)
+        assert has_kind(None, list[float] | None) and has_kind([1, 2.5], list[float] | None)
+        assert not has_kind([None], list[float] | None)
+        assert not has_kind(None, int)
+
+    def test_other_types_match_exactly(self):
+        assert has_kind("a", str) and not has_kind(b"a", str)
+        assert has_kind({}, dict) and not has_kind([], dict)
 
 
 def body_spec(h=48, w=48, slices=3, lesions=(), seed=0):

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import tgdkit
+from tgdkit import training
 from tgdkit.model import NetworkConfig, network_hash
 from tgdkit.phantom import (
     ScanProtocol,
@@ -79,6 +80,30 @@ class TestTrainScratch:
         )
         net, _ = train_scratch(cfg, [(x, x)])
         assert eval_pairs_mse(net, [(x, x)]) < 1e-4
+
+    def test_batches_follow_one_seeded_permutation_per_epoch(self, monkeypatch):
+        # each epoch draws the next permutation of the config seed's generator
+        # and cuts it into batches, the last one short
+        seen = []
+        forward = training.forward_train
+
+        def recorded(net, xb):
+            seen.append(xb.copy())
+            return forward(net, xb)
+
+        monkeypatch.setattr(training, "forward_train", recorded)
+        rng = np.random.default_rng(2)
+        vols = [(rng.standard_normal((7, 6, 6)), rng.standard_normal((7, 6, 6)))]
+        cfg = TrainConfig(mode="scratch", epochs=3, batch_size=3, seed=11, network=TOY_NET)
+        train_scratch(cfg, vols)
+        x, _ = pairs_to_arrays(vols, TOY_NET.input_slices)
+        perms = np.random.default_rng(cfg.seed)
+        want = []
+        for _ in range(cfg.epochs):
+            perm = perms.permutation(len(x))
+            want += [x[perm[i : i + 3]] for i in range(0, len(x), 3)]
+        assert [b.shape[0] for b in seen] == [3, 3, 1] * 3
+        assert [b.tobytes() for b in seen] == [b.tobytes() for b in want]
 
     def test_same_seed_bit_identical(self):
         ds = toy_dataset(seed=5)
