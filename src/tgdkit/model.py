@@ -25,6 +25,7 @@ from .ops import (
     ConvParams,
     batchnorm_backward,
     batchnorm_forward,
+    batchnorm_relu_output,
     conv2d_backward,
     conv2d_forward,
     conv2d_grad_input,
@@ -186,11 +187,23 @@ def num_parameters(net: Network) -> int:
 
 @dataclass
 class BlockCache:
-    # conv input; the backward pass rebuilds its patch matrix, and drops it
-    # (None) after its last reader, the ReLU backward of the block below
+    """What the backward pass reads of one block's train-mode forward.
+
+    The forward holds one activation per batchnorm block, its ``conv_out``,
+    and the input ``x`` only of the blocks whose input no batchnorm block
+    produced: block 0 (the network input) and block 1. The backward
+    rebuilds every other block input from the ``conv_out`` and ``bn_stats``
+    of the block below, just before that block's grad-weights needs it.
+    """
+
+    # conv input, or None where the backward rebuilds it; the backward sets
+    # it to None once the block's grad-weights has read it (except block 0's)
     x: np.ndarray | None
     conv_out: np.ndarray | None  # batchnorm input; None where there is none
     bn_stats: BnStats | None
+    # bool mask x > 0, set in place of x after the block's grad-weights;
+    # its one reader, the ReLU backward of the block below, drops it (None)
+    positive: np.ndarray | None = None
 
 
 def _check_input(net: Network, x: np.ndarray) -> None:
@@ -206,6 +219,7 @@ def _run(net: Network, x: np.ndarray, mode: str, want_cache: bool):
     center = net.config.input_slices // 2
     h = x
     caches: list[BlockCache] = []
+    below_bn = False
     for block in net.blocks:
         conv_out = conv2d_forward(h, block.conv)
         bn_stats = None
@@ -215,7 +229,9 @@ def _run(net: Network, x: np.ndarray, mode: str, want_cache: bool):
         if block.relu:
             out = relu_forward(out)
         if want_cache:
-            caches.append(BlockCache(h, None if block.bn is None else conv_out, bn_stats))
+            held = None if below_bn else h  # the backward rebuilds it
+            caches.append(BlockCache(held, None if block.bn is None else conv_out, bn_stats))
+            below_bn = block.bn is not None
         h = out
     y = h + x[:, center : center + 1]
     return y, caches
@@ -235,7 +251,8 @@ def forward(net: Network, x: np.ndarray, mode: str = "infer") -> np.ndarray:
 
 def forward_train(net: Network, x: np.ndarray) -> tuple[np.ndarray, list[BlockCache]]:
     """Train-mode forward that also returns the per-block caches
-    :func:`backward` needs (conv inputs, batchnorm inputs, batch statistics).
+    :func:`backward` needs (batchnorm inputs, batch statistics, and the
+    conv inputs of the blocks that no batchnorm block feeds).
     """
     _check_input(net, x)
     return _run(net, x, "train", want_cache=True)
@@ -246,14 +263,19 @@ def backward(net: Network, caches: list[BlockCache], grad_y: np.ndarray) -> list
 
     Returns the trained arrays' gradients in ``array_table`` order. Neither
     the residual branch nor the gradient wrt the network input reaches a
-    parameter, so neither is computed.
+    parameter, so neither is computed. The blocks' parameters must be those
+    of the forward.
 
-    The pass drops each block's cached input (``x``, set to None) once its
-    last reader, the ReLU backward of the block below, has run, so the
-    blocks below run with it freed. The network input, the batchnorm
-    inputs and the batch statistics stay: dropping the batchnorm inputs as
-    well lowers no peak, and at the acceptance shape it made the allocator
-    hand heap pages back and fault them in again on every step.
+    Each block input that the forward did not hold is rebuilt, byte for
+    byte, from the batchnorm input and batch statistics of the block below
+    (``batchnorm_relu_output``) just before the block's grad-weights. After
+    the grad-weights the input is dropped (``x`` set to None) and only its
+    sign mask kept (``positive``), which the ReLU backward of the block
+    below reads and then drops. The network input, the batchnorm inputs
+    and the batch statistics stay: dropping the batchnorm inputs after
+    their BN backward lowers no peak, and at the acceptance shape it made
+    the allocator hand heap pages back and fault them in again on every
+    step.
     """
     if len(caches) != len(net.blocks):
         raise ValueError("cache/block count mismatch; run forward with want_cache=True")
@@ -262,15 +284,20 @@ def backward(net: Network, caches: list[BlockCache], grad_y: np.ndarray) -> list
     for i in range(len(net.blocks) - 1, -1, -1):
         block, cache = net.blocks[i], caches[i]
         if block.relu:
-            # its output, the next block's input, is > 0 where its input was
-            g = relu_backward(caches[i + 1].x, g)
-            caches[i + 1].x = None
+            g = relu_backward(caches[i + 1].positive, g)
+            caches[i + 1].positive = None
         if block.bn is not None:
             g, grads[i, "bn.gamma"], grads[i, "bn.beta"] = batchnorm_backward(
                 cache.conv_out, block.bn, cache.bn_stats, g
             )
-        grads[i, "conv.weight"], grads[i, "conv.bias"] = conv2d_backward(cache.x, block.conv, g)
+        x = cache.x
+        if x is None:
+            below = caches[i - 1]
+            x = batchnorm_relu_output(below.conv_out, net.blocks[i - 1].bn, below.bn_stats)
+        grads[i, "conv.weight"], grads[i, "conv.bias"] = conv2d_backward(x, block.conv, g)
         if i > 0:
+            cache.x, cache.positive = None, x > 0
+            del x  # freed before the grad-input's output is allocated
             g = conv2d_grad_input(block.conv, g)
     return [grads[i, name] for i, name, _ in array_table(net.config, trained_only=True)]
 

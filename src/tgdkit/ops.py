@@ -217,11 +217,10 @@ def batchnorm_forward(
         raise ValueError(
             f"batchnorm input shape {x.shape} incompatible with C={params.channels}"
         )
-    dt = x.dtype
-    gamma = params.gamma.astype(dt, copy=False)[None, :, None, None]
-    beta = params.beta.astype(dt, copy=False)[None, :, None, None]
-
     if mode == "infer":
+        dt = x.dtype
+        gamma = params.gamma.astype(dt, copy=False)[None, :, None, None]
+        beta = params.beta.astype(dt, copy=False)[None, :, None, None]
         mean = params.running_mean.astype(dt, copy=False)[None, :, None, None]
         var = params.running_var.astype(dt, copy=False)[None, :, None, None]
         # gamma * (x - mean) / sqrt(var + eps) + beta, in one buffer
@@ -238,12 +237,32 @@ def batchnorm_forward(
     xc = x - mean[None, :, None, None]
     y = np.multiply(xc, xc)
     var = y.sum(axis=(0, 2, 3)) / m  # np.var's own steps, centering once
+    # in the buffer that held xc * xc
+    return _scale_shift(xc, params, var, out=y), BnStats(mean, var)
+
+
+def _scale_shift(xc: np.ndarray, params: BatchNormParams, var: np.ndarray, out: np.ndarray):
+    """gamma * xc * inv_std + beta for the centered input xc, written into
+    ``out``: the train-mode output step, shared by batchnorm_forward and
+    batchnorm_relu_output so that the two give the same bytes."""
+    dt = xc.dtype
     inv_std = 1.0 / np.sqrt(var + dt.type(params.epsilon))
-    # gamma * xc * inv_std + beta, in the buffer that held xc * xc
-    np.multiply(gamma, xc, out=y)
-    y *= inv_std[None, :, None, None]
-    y += beta
-    return y, BnStats(mean, var)
+    np.multiply(params.gamma.astype(dt, copy=False)[None, :, None, None], xc, out=out)
+    out *= inv_std[None, :, None, None]
+    out += params.beta.astype(dt, copy=False)[None, :, None, None]
+    return out
+
+
+def batchnorm_relu_output(x: np.ndarray, params: BatchNormParams, stats: BnStats) -> np.ndarray:
+    """``relu_forward(batchnorm_forward(x, params, "train")[0])`` byte for
+    byte, from the batch statistics that forward returned, in one buffer.
+
+    The backward pass rebuilds a batchnorm block's output with it, so the
+    forward need not keep that output beside the block's batchnorm input.
+    """
+    xc = np.subtract(x, stats.mean[None, :, None, None])
+    y = _scale_shift(xc, params, stats.var, out=xc)
+    return np.maximum(y, 0, out=y)
 
 
 def batchnorm_backward(
@@ -282,17 +301,21 @@ def relu_forward(x: np.ndarray) -> np.ndarray:
     return np.maximum(x, 0)
 
 
-def relu_backward(x: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
+def relu_backward(positive: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
     """Pass gradient where the forward input was strictly positive.
 
-    Equal byte for byte to ``np.where(x > 0, grad_out, 0)``: the gradient's
-    bits are ANDed with all-ones where x > 0 and with zero (+0.0) elsewhere,
-    which has no data-dependent branch to mispredict.
+    ``positive`` is the bool mask ``x > 0`` of the forward input x; the
+    forward output is > 0 at the same places, so its mask serves as well.
+    Equal byte for byte to ``np.where(positive, grad_out, 0)``: the
+    gradient's bits are ANDed with all-ones where positive and with zero
+    (+0.0) elsewhere, which has no data-dependent branch to mispredict.
     """
-    if grad_out.shape != x.shape:
-        raise ValueError(f"grad_out shape {grad_out.shape} != input shape {x.shape}")
+    if positive.dtype != np.bool_:
+        raise TypeError(f"relu mask must be bool, got {positive.dtype}")
+    if grad_out.shape != positive.shape:
+        raise ValueError(f"grad_out shape {grad_out.shape} != mask shape {positive.shape}")
     bits = np.dtype(f"i{grad_out.itemsize}")
-    keep = (x > 0).view(np.int8).astype(bits)
+    keep = positive.view(np.int8).astype(bits)
     np.negative(keep, out=keep)
     keep &= grad_out.view(bits)
     return keep.view(grad_out.dtype)

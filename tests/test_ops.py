@@ -13,6 +13,7 @@ from tgdkit.ops import (
     ConvParams,
     batchnorm_backward,
     batchnorm_forward,
+    batchnorm_relu_output,
     conv2d_backward,
     conv2d_forward,
     conv2d_grad_input,
@@ -468,6 +469,18 @@ class TestBatchNormMatchesExpressionsBitwise:
         y, _ = batchnorm_forward(x, params, "infer")
         assert y.tobytes() == bn_forward_expressions(x, params, "infer")[0].tobytes()
 
+    def test_relu_output_rebuild(self, shape, dtype):
+        # the backward's rebuild of a batchnorm + ReLU output, here from
+        # channels with batch means of both signs
+        rng, x, params = self.setup_case(shape, dtype)
+        x += np.resize(np.array([-4.0, 2.0], dtype), shape[1])[None, :, None, None]
+        y, stats = batchnorm_forward(x, params, "train")
+        assert (stats.mean < 0).any() and (stats.mean > 0).any()
+        assert (params.gamma != 1).all() and (params.beta != 0).all()
+        have = batchnorm_relu_output(x, params, stats)
+        assert have.dtype == dtype
+        assert have.tobytes() == relu_forward(y).tobytes()
+
     def test_backward(self, shape, dtype):
         rng, x, params = self.setup_case(shape, dtype)
         g = rng.standard_normal(shape).astype(dtype)
@@ -485,8 +498,14 @@ class TestRelu:
         )
 
     def test_backward_definition(self):
-        out = relu_backward(np.array([-1.0, 2.0]), np.array([5.0, 5.0]))
+        out = relu_backward(np.array([False, True]), np.array([5.0, 5.0]))
         np.testing.assert_array_equal(out, [0.0, 5.0])
+
+    def test_backward_takes_a_bool_mask(self):
+        with pytest.raises(TypeError, match="bool"):
+            relu_backward(np.array([-1.0, 2.0]), np.array([5.0, 5.0]))
+        with pytest.raises(ValueError, match="shape"):
+            relu_backward(np.array([False, True]), np.array([5.0, 5.0, 5.0]))
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_backward_matches_where_bitwise(self, dtype):
@@ -506,7 +525,7 @@ class TestRelu:
         rx, rg = rng.integers(0, np.iinfo(bits).max, (2, 4, 3, 7, 5), bits, True)
         for x, g in ((x, g), (rx.view(dtype), rg.view(dtype))):
             want = np.where(x > 0, g, 0)
-            have = relu_backward(x, g)
+            have = relu_backward(x > 0, g)
             assert have.dtype == want.dtype == dtype
             assert have.tobytes() == want.tobytes()
 
@@ -519,5 +538,5 @@ class TestRelu:
         def loss(xv):
             return float((relu_forward(xv) * g).sum())
 
-        grad = relu_backward(x, g)
+        grad = relu_backward(x > 0, g)
         assert rel_err(grad, central_difference(loss, x)).max() < 1e-4
