@@ -189,21 +189,15 @@ def num_parameters(net: Network) -> int:
 class BlockCache:
     """What the backward pass reads of one block's train-mode forward.
 
-    The forward holds one activation per batchnorm block, its ``conv_out``,
-    and the input ``x`` only of the blocks whose input no batchnorm block
-    produced: block 0 (the network input) and block 1. The backward
-    rebuilds every other block input from the ``conv_out`` and ``bn_stats``
-    of the block below, just before that block's grad-weights needs it.
+    Every block but the last holds its conv output (block 0's ReLU input,
+    a batchnorm block's batchnorm input) and its batch statistics; only
+    block 0 also holds its input, the network input. The backward rebuilds
+    every other block input from the block below.
     """
 
-    # conv input, or None where the backward rebuilds it; the backward sets
-    # it to None once the block's grad-weights has read it (except block 0's)
-    x: np.ndarray | None
-    conv_out: np.ndarray | None  # batchnorm input; None where there is none
+    x: np.ndarray | None  # the network input at block 0, else None
+    conv_out: np.ndarray | None  # None at the last block
     bn_stats: BnStats | None
-    # bool mask x > 0, set in place of x after the block's grad-weights;
-    # its one reader, the ReLU backward of the block below, drops it (None)
-    positive: np.ndarray | None = None
 
 
 def _check_input(net: Network, x: np.ndarray) -> None:
@@ -219,7 +213,6 @@ def _run(net: Network, x: np.ndarray, mode: str, want_cache: bool):
     center = net.config.input_slices // 2
     h = x
     caches: list[BlockCache] = []
-    below_bn = False
     for block in net.blocks:
         conv_out = conv2d_forward(h, block.conv)
         bn_stats = None
@@ -229,9 +222,8 @@ def _run(net: Network, x: np.ndarray, mode: str, want_cache: bool):
         if block.relu:
             out = relu_forward(out)
         if want_cache:
-            held = None if below_bn else h  # the backward rebuilds it
-            caches.append(BlockCache(held, None if block.bn is None else conv_out, bn_stats))
-            below_bn = block.bn is not None
+            held = None if caches else x  # only block 0 holds its input
+            caches.append(BlockCache(held, conv_out if block.relu else None, bn_stats))
         h = out
     y = h + x[:, center : center + 1]
     return y, caches
@@ -251,8 +243,8 @@ def forward(net: Network, x: np.ndarray, mode: str = "infer") -> np.ndarray:
 
 def forward_train(net: Network, x: np.ndarray) -> tuple[np.ndarray, list[BlockCache]]:
     """Train-mode forward that also returns the per-block caches
-    :func:`backward` needs (batchnorm inputs, batch statistics, and the
-    conv inputs of the blocks that no batchnorm block feeds).
+    :func:`backward` needs (conv outputs, batch statistics and the network
+    input).
     """
     _check_input(net, x)
     return _run(net, x, "train", want_cache=True)
@@ -264,39 +256,39 @@ def backward(net: Network, caches: list[BlockCache], grad_y: np.ndarray) -> list
     Returns the trained arrays' gradients in ``array_table`` order. Neither
     the residual branch nor the gradient wrt the network input reaches a
     parameter, so neither is computed. The blocks' parameters must be those
-    of the forward.
+    of the forward. The caches are only read, so a second call gives the
+    same bytes.
 
-    Each block input that the forward did not hold is rebuilt, byte for
-    byte, from the batchnorm input and batch statistics of the block below
-    (``batchnorm_relu_output``) just before the block's grad-weights. After
-    the grad-weights the input is dropped (``x`` set to None) and only its
-    sign mask kept (``positive``), which the ReLU backward of the block
-    below reads and then drops. The network input, the batchnorm inputs
-    and the batch statistics stay: dropping the batchnorm inputs after
-    their BN backward lowers no peak, and at the acceptance shape it made
-    the allocator hand heap pages back and fault them in again on every
-    step.
+    Every block input above block 0 is rebuilt, byte for byte, from the
+    block below just before the block's grad-weights; then only its sign
+    mask is kept, until the ReLU backward of the block below has read it.
+    The conv outputs stay until the caller drops the caches: freeing them
+    earlier lowers no peak, and made the allocator hand heap pages back
+    and fault them in again on every step.
     """
     if len(caches) != len(net.blocks):
-        raise ValueError("cache/block count mismatch; run forward with want_cache=True")
+        raise ValueError("cache/block count mismatch; pass the caches of forward_train")
     grads: dict[tuple[int, str], np.ndarray] = {}
     g = grad_y
     for i in range(len(net.blocks) - 1, -1, -1):
         block, cache = net.blocks[i], caches[i]
         if block.relu:
-            g = relu_backward(caches[i + 1].positive, g)
-            caches[i + 1].positive = None
+            g = relu_backward(positive, g)
+            del positive  # freed before the batchnorm backward allocates
         if block.bn is not None:
             g, grads[i, "bn.gamma"], grads[i, "bn.beta"] = batchnorm_backward(
                 cache.conv_out, block.bn, cache.bn_stats, g
             )
-        x = cache.x
-        if x is None:
+        if i == 0:
+            x = cache.x
+        elif net.blocks[i - 1].bn is None:
+            x = relu_forward(caches[i - 1].conv_out)
+        else:
             below = caches[i - 1]
             x = batchnorm_relu_output(below.conv_out, net.blocks[i - 1].bn, below.bn_stats)
         grads[i, "conv.weight"], grads[i, "conv.bias"] = conv2d_backward(x, block.conv, g)
         if i > 0:
-            cache.x, cache.positive = None, x > 0
+            positive = x > 0
             del x  # freed before the grad-input's output is allocated
             g = conv2d_grad_input(block.conv, g)
     return [grads[i, name] for i, name, _ in array_table(net.config, trained_only=True)]

@@ -496,6 +496,7 @@ def save_dataset(dataset: DenoiseDataset, directory) -> None:
 
 
 def load_dataset(directory) -> DenoiseDataset:
+    """A stored dataset, whose phantoms must all have one shape."""
     d = Path(directory)
     doc = read_json(d / "dataset.json", phantom_dirs=list)
     studies = []
@@ -508,6 +509,9 @@ def load_dataset(directory) -> DenoiseDataset:
         studies.append(
             StudyPair(meta["phantom_id"], truth, target, dict(zip(meta["levels"], inputs)))
         )
+    shapes = sorted({sp.truth.shape for sp in studies})
+    if len(shapes) > 1:
+        raise DataFileError(f"{d}: phantoms of more than one shape: {shapes}")
     n_val = doc.get("n_val", 0)
     if type(n_val) is not int or not 0 <= n_val <= len(studies):
         raise DataFileError(f"{d / 'dataset.json'}: bad n_val {n_val!r}")
@@ -532,8 +536,9 @@ def save_study(study: Study, directory) -> None:
 
 
 def load_study(directory) -> Study:
-    """A stored study. Its optional ``metadata.levels`` must map each count
-    level to an object with a numeric ``fraction``."""
+    """A stored study. Every realization stack must be ``[R >= 1, *truth.shape]``
+    (R = 2 for the "n2n" halves), and its optional ``metadata.levels`` must
+    map each count level to an object with a numeric ``fraction``."""
     path = Path(directory) / "study.json"
     meta, (truth, *stacks) = _load_volumes(
         path, lambda m: [("truth", m["shape"]), *m["realization_shapes"].items()],
@@ -552,6 +557,13 @@ def load_study(directory) -> Study:
     ):
         raise DataFileError(f"{path}: bad metadata.levels {levels!r}")
     realizations = dict(zip(meta["realization_shapes"], stacks))
+    for key, stack in realizations.items():
+        n = stack.shape[0] if stack.ndim else 0
+        if stack.shape[1:] != truth.shape or n < 1 or key == "n2n" and n != 2:
+            raise DataFileError(
+                f"{path}: realizations {key!r} have shape {list(stack.shape)}, expected "
+                f"[{2 if key == 'n2n' else 'R >= 1'}, {', '.join(map(str, truth.shape))}]"
+            )
     return Study(truth, realizations, protocol, metadata)
 
 

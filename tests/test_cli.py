@@ -572,6 +572,36 @@ def study_count_budget_infinite(study):
     edit_json(study / "study.json", lambda doc: doc["protocol"].update(count_budget=np.inf))
 
 
+def edit_stack(study, key, change):
+    """Replace the realization stack ``key`` by ``change(stack)``."""
+    doc = json.loads((study / "study.json").read_text())
+    f = study / doc["files"][key]
+    stack = change(np.fromfile(f, "<f4").reshape(doc["realization_shapes"][key]))
+    f.write_bytes(np.ascontiguousarray(stack, "<f4").tobytes())
+    edit_json(study / "study.json", lambda d: d["realization_shapes"].update({key: [*stack.shape]}))
+
+
+def study_level_stack_one_row_short(study):
+    edit_stack(study, "1", lambda stack: stack[:, :, :-1])
+
+
+def study_level_stack_empty(study):
+    edit_stack(study, "1", lambda stack: stack[:0])
+
+
+def study_n2n_one_half(study):
+    edit_stack(study, "n2n", lambda stack: stack[:1])
+
+
+def dataset_phantoms_of_two_sizes(dataset):
+    meta = json.loads((dataset / "phantom_001" / "meta.json").read_text())
+    for name in meta["files"].values():
+        f = dataset / "phantom_001" / name
+        vol = np.fromfile(f, "<f4").reshape(meta["shape"])[:, 2:-2, 2:-2]
+        f.write_bytes(vol.tobytes())
+    edit_json(dataset / "phantom_001" / "meta.json", lambda doc: doc.update(shape=list(vol.shape)))
+
+
 def dataset_without_phantom_dirs(dataset):
     edit_json(dataset / "dataset.json", lambda doc: doc.pop("phantom_dirs"))
 
@@ -587,7 +617,9 @@ SIDECAR_DAMAGE = {
         study_without_realization_shapes, study_not_json, study_file_outside,
         study_level_without_fraction, study_metadata_list, study_rois_list,
         study_roi_entry_short, study_roi_voxel_outside, study_psf_sigma_nan,
-        study_count_budget_infinite, dataset_without_phantom_dirs, dataset_dir_outside,
+        study_count_budget_infinite, study_level_stack_one_row_short, study_level_stack_empty,
+        study_n2n_one_half, dataset_without_phantom_dirs, dataset_dir_outside,
+        dataset_phantoms_of_two_sizes,
     )
 }
 

@@ -234,38 +234,53 @@ class TestBackward:
                     assert a.size <= activation, (i, field.name, a.shape)
 
     def test_bn_block_caches_hold_one_activation(self):
-        # its conv output, the batchnorm input; the backward rebuilds the
-        # block's output, the next block's input, from it and the batch
-        # statistics. Block 1 also holds its input, which block 0 (no
-        # batchnorm) produced.
+        # every block but the last holds its conv output, from which the
+        # backward rebuilds the next block's input; only block 0 holds its
+        # own input, the network input
         rng = np.random.default_rng(6)
         net = build_network(NetworkConfig(depth=5, channels=16), seed=3)
         x = rng.standard_normal((8, 3, 24, 24)).astype(np.float32)
         _, caches = forward_train(net, x)
-        for i, cache in enumerate(caches[1:-1], start=1):
+        for i, cache in enumerate(caches[:-1]):
             held = [
                 f.name for f in dataclasses.fields(cache)
                 if isinstance(getattr(cache, f.name), np.ndarray)
             ]
-            assert held == (["x", "conv_out"] if i == 1 else ["conv_out"]), i
+            assert held == (["x", "conv_out"] if i == 0 else ["conv_out"]), i
             assert cache.conv_out.shape == (8, 16, 24, 24)
-        assert caches[0].x is x and caches[-1].x is None
+        assert caches[0].x is x and all(cache.x is None for cache in caches[1:])
 
     def test_blocks_without_batchnorm_cache_no_conv_output(self):
-        # the backward reads a conv's output only through its batchnorm
+        # the last block's output is the prediction, which no backward step
+        # rebuilds, so only it holds no conv output
         net = build_network(NetworkConfig(depth=5, channels=16), seed=3)
         x = np.random.default_rng(6).standard_normal((8, 3, 24, 24)).astype(np.float32)
         _, caches = forward_train(net, x)
-        assert caches[0].conv_out is None and caches[-1].conv_out is None
+        assert [cache.conv_out is None for cache in caches] == [False] * 4 + [True]
 
-    def test_backward_drops_each_block_input_after_its_last_reader(self):
+    def test_backward_only_reads_its_caches(self):
         net = build_network(NetworkConfig(depth=5, channels=16), seed=3)
         x = np.random.default_rng(6).standard_normal((8, 3, 24, 24)).astype(np.float32)
         y, caches = forward_train(net, x)
-        backward(net, caches, np.ones_like(y))
-        assert caches[0].x is x
-        assert all(cache.x is None for cache in caches[1:])
-        assert all(cache.positive is None for cache in caches)
+
+        def held():  # every value the caches hold, and those of their BnStats
+            out = []
+            for cache in caches:
+                for value in vars(cache).values():
+                    out += vars(value).values() if dataclasses.is_dataclass(value) else [value]
+            return out
+
+        def data(values):
+            return [None if v is None else v.tobytes() for v in values]
+
+        before = held()
+        before_data = data(before)
+        first = backward(net, caches, np.ones_like(y))
+        second = backward(net, caches, np.ones_like(y))
+        assert data(second) == data(first)
+        after = held()
+        assert len(after) == len(before) and all(b is a for a, b in zip(before, after))
+        assert data(after) == before_data
 
     def test_step_peak_is_below_nine_activations(self):
         # one train step, forward plus backward, of a 5x16 net at 64x64,

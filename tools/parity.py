@@ -20,7 +20,8 @@ It also pins two train steps (predictions, loss, gradients), the trained
 network and an infer pass at the shape of an N2N run on a full slice: a
 6x16 net on 128x128 slices, batch 8, and, at an odd spatial shape (11x13)
 where a BLAS kernel's column tail can round differently, the three conv ops
-and one forward and backward of a 5x5 net in float32 and float64.
+and one forward and backward of a 5x5 net and of a 3x5 net, whose one
+batchnorm block sits on the batchnorm-less block 0, in float32 and float64.
 """
 
 from __future__ import annotations
@@ -51,6 +52,7 @@ from tgdkit.training import (
 NET = NetworkConfig(depth=5, channels=16, input_slices=3)
 FULL_SLICE_NET = NetworkConfig(depth=6, channels=16, input_slices=3)
 ODD_NET = NetworkConfig(depth=5, channels=5, input_slices=3)
+MIN_NET = NetworkConfig(depth=3, channels=5, input_slices=3)  # one batchnorm block
 CLI_NET = {"depth": 4, "channels": 8, "input_slices": 3}
 VOLATILE = ("created_utc", "wall_time_s")
 
@@ -160,15 +162,15 @@ def odd_shape_convs() -> dict:
     return out
 
 
-def odd_shape_step() -> dict:
+def odd_shape_step(config: NetworkConfig, name: str) -> dict:
     """The prediction and every gradient of one train-mode forward and
-    backward of a 5x5 net at 11x13, batch 3, in float32 and float64, with
-    gamma != 1 and beta != 0: the blocks' rebuilt inputs at an odd shape,
-    through the whole backward."""
+    backward of a ``config`` net at 11x13, batch 3, in float32 and float64,
+    with gamma != 1 and beta != 0: the blocks' rebuilt inputs at an odd
+    shape, through the whole backward."""
     out = {}
     for dtype in (np.float32, np.float64):
         rng = np.random.default_rng(13)
-        net = build_network(ODD_NET, seed=5)
+        net = build_network(config, seed=5)
         for blk in net.blocks:
             blk.conv.weights = blk.conv.weights.astype(dtype)
             if blk.conv.bias is not None:
@@ -176,10 +178,10 @@ def odd_shape_step() -> dict:
             if blk.bn is not None:
                 blk.bn.gamma = rng.standard_normal(blk.bn.channels).astype(dtype)
                 blk.bn.beta = rng.standard_normal(blk.bn.channels).astype(dtype)
-        x = rng.standard_normal((3, ODD_NET.input_slices, 11, 13)).astype(dtype)
+        x = rng.standard_normal((3, config.input_slices, 11, 13)).astype(dtype)
         pred, caches = forward_train(net, x)
         grads = backward(net, caches, rng.standard_normal(pred.shape).astype(dtype))
-        key = f"odd_shape_step/{np.dtype(dtype).name}"
+        key = f"{name}/{np.dtype(dtype).name}"
         out[f"{key}/pred"] = sha(pred.tobytes())
         out[f"{key}/grads"] = sha(b"".join(g.tobytes() for g in grads))
     return out
@@ -268,7 +270,8 @@ def main() -> int:
     result = protocols()
     result.update(full_slice_steps())
     result.update(odd_shape_convs())
-    result.update(odd_shape_step())
+    result.update(odd_shape_step(ODD_NET, "odd_shape_step"))
+    result.update(odd_shape_step(MIN_NET, "min_depth_step"))
     with tempfile.TemporaryDirectory(prefix="tgdkit-parity-") as tmp:
         result.update(cli_flow(Path(os.path.realpath(tmp))))
     json.dump(result, sys.stdout, indent=1, sort_keys=True)
