@@ -60,6 +60,7 @@ from .phantom import (
     background_voxels,
     build_dataset,
     has_kind,
+    is_bare_name,
     json_text,
     lesion_voxels,
     load_dataset,
@@ -256,6 +257,14 @@ def cmd_gen_data(args) -> int:
         "count_levels": list(levels),
         "test_studies": need(cfg, "test_studies", list[dict], []),
     }
+    # each study is written to studies/<name>, so a name must stay inside
+    # --out and name one study
+    names = [need(t, "name", str, where="test_studies entry") for t in resolved["test_studies"]]
+    for name in names:
+        if not is_bare_name(name):
+            raise ConfigError(f"test study name {name!r} is not a bare directory name")
+    if len(set(names)) < len(names):
+        raise ConfigError(f"test study names are not unique: {names}")
 
     rng = np.random.default_rng(seed)
     lesions = given(cfg, {"lesion_radius": float, "lesion_contrast": float}, "phantoms")
@@ -268,8 +277,7 @@ def cmd_gen_data(args) -> int:
     outputs = {
         "dataset": ("dataset/dataset.json", lambda p: save_dataset(dataset, p.parent))
     }
-    for tcfg in resolved["test_studies"]:
-        name = need(tcfg, "name", str, where="test_studies entry")
+    for name, tcfg in zip(names, resolved["test_studies"]):
         # a test study draws its own lesion count, not the dataset's
         spec = random_phantom_spec(
             rng, h, w, slices=slices, **lesions, **given(tcfg, {"n_lesions": int})

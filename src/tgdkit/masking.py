@@ -108,7 +108,7 @@ class MaskedAdam:
     arrays and one keep-vector freezes them all. Weight decay covers the
     conv entries only. The flat moments live here; the network keeps its
     own arrays and each step writes into them in place. An unmasked run
-    passes ``all_ones_masks(net)``.
+    passes ``all_ones_masks(net)``. ``masks`` keeps them for the running-stat commit.
     """
 
     def __init__(
@@ -131,6 +131,7 @@ class MaskedAdam:
             keep.append(np.repeat(mask == 0, arr.size // len(mask)))
             wd = weight_decay if name.startswith("conv.") else 0.0
             decay.append(np.full(arr.size, wd, arr.dtype))
+        self.masks = conv_masks
         self.lr = lr
         self.t = 0
         self.offsets = np.cumsum(sizes)[:-1]

@@ -652,10 +652,16 @@ def _kind_check(kind) -> Callable[[object], bool]:
     return lambda v: type(v) is kind
 
 
+def is_bare_name(name) -> bool:
+    """Whether ``name`` names an entry of a directory: a non-empty string
+    with no separator that is neither "." nor ".."."""
+    return isinstance(name, str) and name not in ("", "..") and Path(name).name == name
+
+
 def _inside(directory: Path, name, what: str) -> Path:
     """``directory / name`` for a sidecar entry, which must be a bare file
     or directory name: a stored dataset or study never points outside its
     own directory."""
-    if not isinstance(name, str) or name in ("", "..") or Path(name).name != name:
+    if not is_bare_name(name):
         raise DataFileError(f"{directory}: {what} {name!r} is not a name inside it")
     return directory / name

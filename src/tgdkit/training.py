@@ -8,6 +8,9 @@ Three entry points share one deterministic loop:
 * online_n2n         - masked fine-tuning on a single study using its two
                        equal-count noise realizations as mutual targets
 
+Each batch trains through ``train_step``: forward, MSE loss, running-stat
+commit, backward and masked Adam step.
+
 Every protocol is a pure function of (config, data bytes, seed): batch
 order comes from one seeded generator and nothing else draws randomness, so
 identical calls give bit-identical weights. The masked and unmasked paths
@@ -137,39 +140,22 @@ def pairs_to_arrays(
     )
 
 
-def _train_loop(
-    net: Network,
-    x: np.ndarray,
-    y: np.ndarray,
-    config: TrainConfig,
-    conv_masks: list[np.ndarray],
-) -> list[float]:
-    """Shared SGD loop; mutates net in place and returns per-epoch losses.
-    Only the channels ``conv_masks`` sets train. A batch whose loss is not
-    finite raises NonFiniteLossError before it changes the network."""
-    m = x.shape[0]
-    opt = MaskedAdam(net, conv_masks, config.learning_rate, config.weight_decay)
-    rng = np.random.default_rng(config.seed)
-    losses = []
-    for _ in range(config.epochs):
-        perm = rng.permutation(m)
-        epoch_loss = 0.0
-        for start in range(0, m, config.batch_size):
-            idx = perm[start : start + config.batch_size]
-            xb, yb = x[idx], y[idx]
-            pred, caches = forward_train(net, xb)
-            loss, grad_y = mse_loss(pred, yb)
-            if not math.isfinite(loss):
-                raise NonFiniteLossError(
-                    f"loss is {loss} in epoch {len(losses)}: non-finite data or weights"
-                )
-            for blk, cache, mask in zip(net.blocks, caches, conv_masks):
-                if blk.bn is not None:
-                    commit_running_stats(blk.bn, cache.bn_stats, mask)
-            opt.step(net, backward(net, caches, grad_y))
-            epoch_loss += loss * len(idx)
-        losses.append(epoch_loss / m)
-    return losses
+def train_step(
+    net: Network, opt: MaskedAdam, xb: np.ndarray, yb: np.ndarray
+) -> tuple[float, list[np.ndarray]]:
+    """Train one batch under the masks ``opt`` was built with; returns the
+    loss and the table-order gradients. A non-finite loss raises
+    NonFiniteLossError before anything changes."""
+    pred, caches = forward_train(net, xb)
+    loss, grad_y = mse_loss(pred, yb)
+    if not math.isfinite(loss):
+        raise NonFiniteLossError(f"loss is {loss}: non-finite data or weights")
+    for blk, cache, mask in zip(net.blocks, caches, opt.masks):
+        if blk.bn is not None:
+            commit_running_stats(blk.bn, cache.bn_stats, mask)
+    grads = backward(net, caches, grad_y)
+    opt.step(net, grads)
+    return loss, grads
 
 
 def eval_pairs_mse(net: Network, pairs: list[tuple[np.ndarray, np.ndarray]]) -> float:
@@ -215,7 +201,20 @@ def _fit(
     tuned = net.copy()
     x, y = pairs_to_arrays(train_pairs, tuned.config.input_slices)
     t0 = time.perf_counter()
-    losses = _train_loop(tuned, x, y, config, conv_masks)
+    opt = MaskedAdam(tuned, conv_masks, config.learning_rate, config.weight_decay)
+    rng = np.random.default_rng(config.seed)
+    losses = []
+    for epoch in range(config.epochs):
+        perm = rng.permutation(len(x))
+        epoch_loss = 0.0
+        for start in range(0, len(x), config.batch_size):
+            idx = perm[start : start + config.batch_size]
+            try:
+                loss, _ = train_step(tuned, opt, x[idx], y[idx])
+            except NonFiniteLossError as e:
+                raise NonFiniteLossError(f"epoch {epoch}: {e}") from None
+            epoch_loss += loss * len(idx)
+        losses.append(epoch_loss / len(x))
     wall = time.perf_counter() - t0
     _assert_frozen_exact(net, tuned, conv_masks)
     val = eval_pairs_mse(tuned, val_pairs) if val_pairs else None

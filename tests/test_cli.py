@@ -112,6 +112,17 @@ class TestGenData:
         assert not list(tmp_path.rglob("dataset.json"))
         assert not list(tmp_path.rglob("study.json"))
 
+    @pytest.mark.parametrize(
+        "names", [["../x"], ["a/b"], [""], ["."], [".."], ["probe", "probe"]],
+        ids=["parent", "nested", "empty", "dot", "dotdot", "duplicate"],
+    )
+    def test_bad_study_name_is_config_error_and_writes_nothing(self, tmp_path, capsys, names):
+        # a study is written to studies/<name> below --out, one per name
+        cfg = gen_config(tmp_path, test_studies=[{"name": n} for n in names])
+        assert main(["gen-data", str(cfg), "--out", str(tmp_path / "out" / "run")]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert list(tmp_path.rglob("*")) == [cfg]
+
     def test_runs_without_scipy(self, workspace, tmp_path):
         """numpy is the only runtime dependency: with scipy unimportable the
         CLI imports, and gen-data writes the same dataset and study bytes."""

@@ -9,18 +9,15 @@ from hypothesis import strategies as st
 
 from oracles import PerLayerAdam
 from tgdkit.kse import kse_scores
-from tgdkit.masking import (
-    MaskedAdam, MaskSet, all_ones_masks, build_masks, commit_running_stats,
-)
+from tgdkit.masking import MaskedAdam, MaskSet, all_ones_masks, build_masks
 from tgdkit.model import (
     NetworkConfig,
     array_table,
-    backward,
     build_network,
-    forward_train,
     network_arrays,
     network_hash,
 )
+from tgdkit.training import train_step
 
 
 def toy_net(seed=0, depth=4, channels=3):
@@ -187,11 +184,7 @@ class TestMaskedBnUpdate:
         opt = MaskedAdam(net, masks, 1e-2)
         for _ in range(n):
             x = rng.standard_normal((2, 3, 5, 5)).astype(np.float32)
-            pred, caches = forward_train(net, x)
-            for blk, cache, mask in zip(net.blocks, caches, masks):
-                if blk.bn is not None:
-                    commit_running_stats(blk.bn, cache.bn_stats, mask)
-            opt.step(net, backward(net, caches, pred - x[:, 1:2]))
+            train_step(net, opt, x, x[:, 1:2])
 
     def test_all_zero_mask_freezes_affine_and_stats(self):
         net = toy_net(seed=6)

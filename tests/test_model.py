@@ -285,10 +285,11 @@ class TestBackward:
     def test_step_peak_is_below_nine_activations(self):
         # one train step, forward plus backward, of a 5x16 net at 64x64,
         # batch 8, in activations of [8, 16, 64, 64] float32. The forward
-        # holds one per batchnorm block plus block 1's input, the backward
-        # rebuilds the other block inputs and keeps only their sign masks:
-        # about 8.2, against 10.2 while each batchnorm block also held its
-        # output as the next block's input
+        # holds the conv output of every block but the last, plus the
+        # network input; the backward rebuilds every block input above
+        # block 0 and keeps only their sign masks: about 8.2, against 10.2
+        # while each batchnorm block also held its output as the next
+        # block's input
         rng = np.random.default_rng(6)
         net = build_network(NetworkConfig(depth=5, channels=16), seed=3)
         x = rng.standard_normal((8, 3, 64, 64)).astype(np.float32)
@@ -411,6 +412,15 @@ class TestWeightFile:
         p = tmp_path / "net8.tgdw"
         save_weights(net8, p)
         with pytest.raises(ShapeMismatchError, match="block02"):
+            load_weights(p, expect=NetworkConfig(depth=3, channels=4))
+
+    def test_header_that_disagrees_with_the_arrays_names_both_configs(self, tmp_path):
+        # the channels field (offset 12) claims 8 over a 3x4 net's arrays,
+        # which match the expected config entry by entry
+        p = tmp_path / "net.tgdw"
+        raw = saved_3x4(p)
+        p.write_bytes(raw[:12] + struct.pack("<I", 8) + raw[16:])
+        with pytest.raises(ShapeMismatchError, match="channels=8.*channels=4"):
             load_weights(p, expect=NetworkConfig(depth=3, channels=4))
 
     def test_truncation_at_every_offset(self, tmp_path):

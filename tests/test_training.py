@@ -10,7 +10,8 @@ import pytest
 
 import tgdkit
 from tgdkit import training
-from tgdkit.model import NetworkConfig, network_hash
+from tgdkit.masking import MaskedAdam, all_ones_masks
+from tgdkit.model import NetworkConfig, backward, build_network, forward_train, network_hash
 from tgdkit.phantom import (
     ScanProtocol,
     build_dataset,
@@ -27,6 +28,7 @@ from tgdkit.training import (
     online_n2n,
     pairs_to_arrays,
     train_scratch,
+    train_step,
     volume_to_samples,
 )
 
@@ -61,6 +63,35 @@ class TestHelpers:
         x, y = pairs_to_arrays([(vol, vol), (vol, vol)], 3)
         assert x.shape == (10, 3, 4, 4)
         assert y.shape == (10, 1, 4, 4)
+
+
+class TestTrainStep:
+    def setup_method(self):
+        rng = np.random.default_rng(4)
+        self.x = rng.standard_normal((2, 3, 6, 6)).astype(np.float32)
+        self.net = build_network(TOY_NET, seed=3)
+        self.opt = MaskedAdam(self.net, all_ones_masks(self.net), 1e-2, 1e-5)
+
+    def test_returns_the_batch_loss_and_gradients_before_the_step(self):
+        pred, caches = forward_train(self.net, self.x)
+        loss, grad_y = mse_loss(pred, self.x[:, 1:2])
+        want = backward(self.net, caches, grad_y)
+        got_loss, got = train_step(self.net, self.opt, self.x, self.x[:, 1:2])
+        assert got_loss == loss
+        assert [g.tobytes() for g in got] == [g.tobytes() for g in want]
+        assert self.opt.t == 1
+
+    def test_non_finite_batch_changes_nothing(self):
+        train_step(self.net, self.opt, self.x, self.x[:, 1:2])
+        before = network_hash(self.net), self.opt.m.copy(), self.opt.v.copy(), self.opt.t
+        bad = self.x.copy()
+        bad[1, 0, 2, 3] = np.nan
+        with pytest.raises(NonFiniteLossError, match="loss is nan"):
+            train_step(self.net, self.opt, bad, self.x[:, 1:2])
+        assert network_hash(self.net) == before[0]
+        np.testing.assert_array_equal(self.opt.m, before[1])
+        np.testing.assert_array_equal(self.opt.v, before[2])
+        assert self.opt.t == before[3]
 
 
 class TestTrainScratch:

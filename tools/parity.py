@@ -5,6 +5,13 @@ what tgdkit computes or writes:
 
     PYTHONPATH=src python tools/parity.py > parity.json
 
+``tests/parity.json`` holds ``pin()``: these hashes with the
+``fingerprint()`` they were made under. ``tests/test_parity.py`` checks it at
+1 and at the default BLAS thread count. Regenerate it only in a change that
+means to change outputs, and list the changed keys with the reason:
+
+    PYTHONPATH=src:tools python -c "import parity; parity.write_pin()"
+
 It covers the four training protocols (scratch, a warm start, TGD
 fine-tuning, online N2N) on a 5x16 net at weight decay 1e-5 and 0, with
 their network hashes, validation MSEs, records, masks and KSE reports; the
@@ -31,6 +38,7 @@ import hashlib
 import io
 import json
 import os
+import platform
 import sys
 import tempfile
 from pathlib import Path
@@ -39,14 +47,15 @@ import numpy as np
 
 from tgdkit import cli
 from tgdkit.kse import KseConfig, drop_kernels, kse_scores
-from tgdkit.masking import MaskedAdam, all_ones_masks, build_masks, commit_running_stats
+from tgdkit.masking import MaskedAdam, all_ones_masks, build_masks
 from tgdkit.model import (
-    NetworkConfig, backward, build_network, denoise_volume, forward_train, network_hash,
+    NetworkConfig, backward, build_network, denoise_volume, forward, forward_train,
+    network_hash,
 )
 from tgdkit.ops import ConvParams, conv2d_backward, conv2d_forward, conv2d_grad_input
 from tgdkit.phantom import ScanProtocol, build_dataset, make_study, random_phantom_spec
 from tgdkit.training import (
-    TrainConfig, finetune_tgd, mse_loss, online_n2n, pairs_to_arrays, train_scratch,
+    TrainConfig, finetune_tgd, online_n2n, pairs_to_arrays, train_scratch, train_step,
 )
 
 NET = NetworkConfig(depth=5, channels=16, input_slices=3)
@@ -55,6 +64,7 @@ ODD_NET = NetworkConfig(depth=5, channels=5, input_slices=3)
 MIN_NET = NetworkConfig(depth=3, channels=5, input_slices=3)  # one batchnorm block
 CLI_NET = {"depth": 4, "channels": 8, "input_slices": 3}
 VOLATILE = ("created_utc", "wall_time_s")
+PIN = Path(__file__).resolve().parent.parent / "tests" / "parity.json"
 
 
 def sha(data: bytes) -> str:
@@ -119,21 +129,13 @@ def full_slice_steps() -> dict:
     a, b = study.realizations["n2n"]
     x, y = pairs_to_arrays([(a, b), (b, a)], FULL_SLICE_NET.input_slices)
     net = build_network(FULL_SLICE_NET, seed=2)
-    masks = all_ones_masks(net)
-    opt = MaskedAdam(net, masks, lr=1e-3)
+    opt = MaskedAdam(net, all_ones_masks(net), lr=1e-3)
     out = {}
     for step in range(2):
-        pred, caches = forward_train(net, x)
-        loss, grad_y = mse_loss(pred, y)
-        grads = backward(net, caches, grad_y)
         key = f"full_slice/step={step}"
-        out[f"{key}/pred"] = sha(pred.tobytes())
-        out[f"{key}/loss"] = loss
+        out[f"{key}/pred"] = sha(forward(net, x, "train").tobytes())
+        out[f"{key}/loss"], grads = train_step(net, opt, x, y)
         out[f"{key}/grads"] = sha(b"".join(g.tobytes() for g in grads))
-        for blk, cache, mask in zip(net.blocks, caches, masks):
-            if blk.bn is not None:
-                commit_running_stats(blk.bn, cache.bn_stats, mask)
-        opt.step(net, grads)
     out["full_slice/network_hash"] = network_hash(net)
     out["full_slice/infer"] = sha(denoise_volume(net, a).tobytes())
     return out
@@ -266,7 +268,8 @@ def cli_flow(work: Path) -> dict:
     return out
 
 
-def main() -> int:
+def hashes() -> dict:
+    """Every pinned output, keyed by what it is."""
     result = protocols()
     result.update(full_slice_steps())
     result.update(odd_shape_convs())
@@ -274,7 +277,33 @@ def main() -> int:
     result.update(odd_shape_step(MIN_NET, "min_depth_step"))
     with tempfile.TemporaryDirectory(prefix="tgdkit-parity-") as tmp:
         result.update(cli_flow(Path(os.path.realpath(tmp))))
-    json.dump(result, sys.stdout, indent=1, sort_keys=True)
+    return result
+
+
+def fingerprint() -> dict:
+    """The numpy, BLAS build and Python the hashes were made under. The
+    repository promises bit-identical reruns, not bit-identical results
+    across builds, so a pin made under another fingerprint says nothing."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {
+        "numpy": np.__version__,
+        "openblas": blas.get("openblas configuration"),
+        "python": platform.python_version(),
+    }
+
+
+def pin() -> dict:
+    """``hashes()`` with the ``fingerprint()`` they were made under."""
+    return {"fingerprint": fingerprint(), "hashes": hashes()}
+
+
+def write_pin() -> None:
+    """Write ``pin()`` to ``tests/parity.json``."""
+    PIN.write_text(json.dumps(pin(), indent=1, sort_keys=True) + "\n")
+
+
+def main() -> int:
+    json.dump(hashes(), sys.stdout, indent=1, sort_keys=True)
     sys.stdout.write("\n")
     return 0
 
