@@ -219,6 +219,9 @@ def _study_at_level(args):
     levels."""
     study = load_study(args.study)
     level = args.level or max(filter(_is_number, study.realizations), key=float, default=None)
+    if level is None:
+        keys = ", ".join(sorted(study.realizations)) or "none"
+        raise DataFileError(f"study has no count levels (keys: {keys}); choose one with --level")
     if level not in study.realizations:
         raise DataFileError(f"study has no count level {level!r}")
     return Path(args.study), study, level
@@ -247,6 +250,8 @@ def cmd_gen_data(args) -> int:
         seed=seed,
     )
     n_train = need(cfg, "phantoms.n_train", int)
+    if n_train < 1:
+        raise ConfigError(f"field phantoms.n_train must be >= 1, got {n_train}")
     n_val = need(cfg, "phantoms.n_val", int, 0)
     levels = tuple(need(cfg, "count_levels", list[float], list(DATASET_COUNT_LEVELS)))
     resolved = {
@@ -293,10 +298,13 @@ def cmd_gen_data(args) -> int:
         study = make_study(spec, protocol, **given(tcfg, {
             "count_levels": list[float], "n_realizations": int, "n2n_split": bool,
         }))
-        rois = {
-            "lesion": Roi(lesion_voxels(spec)),
-            "background": Roi(background_voxels(spec)),
-        }
+        try:
+            rois = {
+                "lesion": Roi(lesion_voxels(spec)),
+                "background": Roi(background_voxels(spec)),
+            }
+        except ValueError as e:
+            raise ConfigError(f"test study {name!r}: {e}") from e
         if ood is not None:
             ood_only = replace(spec, lesions=(extra,))
             rois["ood_lesion"] = Roi(lesion_voxels(ood_only))

@@ -189,14 +189,14 @@ def num_parameters(net: Network) -> int:
 class BlockCache:
     """What the backward pass reads of one block's train-mode forward.
 
-    Every block but the last holds its conv output (block 0's ReLU input,
-    a batchnorm block's batchnorm input) and its batch statistics; only
-    block 0 also holds its input, the network input. The backward rebuilds
-    every other block input from the block below.
+    Block 0 holds its input, the network input, and its conv output, its
+    ReLU input. A batchnorm block holds only its BnStats, whose centered
+    input is its one activation. The last block holds nothing. The
+    backward rebuilds every other block input from the block below.
     """
 
     x: np.ndarray | None  # the network input at block 0, else None
-    conv_out: np.ndarray | None  # None at the last block
+    conv_out: np.ndarray | None  # the ReLU input of a block without batchnorm
     bn_stats: BnStats | None
 
 
@@ -214,17 +214,17 @@ def _run(net: Network, x: np.ndarray, mode: str, want_cache: bool):
     h = x
     caches: list[BlockCache] = []
     for block in net.blocks:
-        conv_out = conv2d_forward(h, block.conv)
-        bn_stats = None
-        out = conv_out
+        bn_stats = None  # the block below's, freed before the conv when not cached
+        h = conv2d_forward(h, block.conv)
         if block.bn is not None:
-            out, bn_stats = batchnorm_forward(out, block.bn, mode)
-        if block.relu:
-            out = relu_forward(out)
+            # one name, so the input (held centered in bn_stats) is freed
+            h, bn_stats = batchnorm_forward(h, block.bn, mode)
         if want_cache:
             held = None if caches else x  # only block 0 holds its input
-            caches.append(BlockCache(held, conv_out if block.relu else None, bn_stats))
-        h = out
+            relu_in = h if block.relu and block.bn is None else None
+            caches.append(BlockCache(held, relu_in, bn_stats))
+        if block.relu:
+            h = relu_forward(h)
     y = h + x[:, center : center + 1]
     return y, caches
 
@@ -243,8 +243,8 @@ def forward(net: Network, x: np.ndarray, mode: str = "infer") -> np.ndarray:
 
 def forward_train(net: Network, x: np.ndarray) -> tuple[np.ndarray, list[BlockCache]]:
     """Train-mode forward that also returns the per-block caches
-    :func:`backward` needs (conv outputs, batch statistics and the network
-    input).
+    :func:`backward` needs (block 0's input and conv output, and every
+    batchnorm block's BnStats).
     """
     _check_input(net, x)
     return _run(net, x, "train", want_cache=True)
@@ -262,7 +262,8 @@ def backward(net: Network, caches: list[BlockCache], grad_y: np.ndarray) -> list
     Every block input above block 0 is rebuilt, byte for byte, from the
     block below just before the block's grad-weights; then only its sign
     mask is kept, until the ReLU backward of the block below has read it.
-    The conv outputs stay until the caller drops the caches: freeing them
+    A batchnorm block is read only through its BnStats. The cached
+    activations stay until the caller drops the caches: freeing them
     earlier lowers no peak, and made the allocator hand heap pages back
     and fault them in again on every step.
     """
@@ -277,15 +278,14 @@ def backward(net: Network, caches: list[BlockCache], grad_y: np.ndarray) -> list
             del positive  # freed before the batchnorm backward allocates
         if block.bn is not None:
             g, grads[i, "bn.gamma"], grads[i, "bn.beta"] = batchnorm_backward(
-                cache.conv_out, block.bn, cache.bn_stats, g
+                block.bn, cache.bn_stats, g
             )
         if i == 0:
             x = cache.x
         elif net.blocks[i - 1].bn is None:
             x = relu_forward(caches[i - 1].conv_out)
         else:
-            below = caches[i - 1]
-            x = batchnorm_relu_output(below.conv_out, net.blocks[i - 1].bn, below.bn_stats)
+            x = batchnorm_relu_output(net.blocks[i - 1].bn, caches[i - 1].bn_stats)
         grads[i, "conv.weight"], grads[i, "conv.bias"] = conv2d_backward(x, block.conv, g)
         if i > 0:
             positive = x > 0

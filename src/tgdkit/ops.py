@@ -71,11 +71,13 @@ class BatchNormParams:
 
 @dataclass
 class BnStats:
-    """Batch statistics from a train-mode forward, kept for the backward
-    pass and for the running-stat update (``masking.commit_running_stats``)."""
+    """A train-mode forward's batch statistics, for the running-stat update
+    (``masking.commit_running_stats``), and its centered input ``x - mean``,
+    which the backward pass and the output rebuild read in place of x."""
 
     mean: np.ndarray
     var: np.ndarray
+    centered: np.ndarray
 
 
 def _im2col(x: np.ndarray) -> Iterator[np.ndarray]:
@@ -206,10 +208,10 @@ def batchnorm_forward(
 ) -> tuple[np.ndarray, BnStats | None]:
     """Normalize [B, C, H, W] per channel.
 
-    Train mode uses biased batch statistics over (B, H, W) and returns them
-    as the BnStats the backward pass takes; the running statistics are left
-    as they are. Infer mode uses the stored running statistics and returns
-    stats=None.
+    Train mode uses biased batch statistics over (B, H, W) and returns them,
+    with the centered input it builds on the way, as the BnStats the
+    backward pass takes; the running statistics are left as they are. Infer
+    mode uses the stored running statistics and returns stats=None.
     """
     if mode not in ("train", "infer"):
         raise ValueError(f"mode must be 'train' or 'infer', got {mode!r}")
@@ -238,7 +240,7 @@ def batchnorm_forward(
     y = np.multiply(xc, xc)
     var = y.sum(axis=(0, 2, 3)) / m  # np.var's own steps, centering once
     # in the buffer that held xc * xc
-    return _scale_shift(xc, params, var, out=y), BnStats(mean, var)
+    return _scale_shift(xc, params, var, out=y), BnStats(mean, var, xc)
 
 
 def _scale_shift(xc: np.ndarray, params: BatchNormParams, var: np.ndarray, out: np.ndarray):
@@ -253,32 +255,29 @@ def _scale_shift(xc: np.ndarray, params: BatchNormParams, var: np.ndarray, out: 
     return out
 
 
-def batchnorm_relu_output(x: np.ndarray, params: BatchNormParams, stats: BnStats) -> np.ndarray:
+def batchnorm_relu_output(params: BatchNormParams, stats: BnStats) -> np.ndarray:
     """``relu_forward(batchnorm_forward(x, params, "train")[0])`` byte for
-    byte, from the batch statistics that forward returned, in one buffer.
+    byte, from the BnStats that forward returned, in one new buffer.
 
     The backward pass rebuilds a batchnorm block's output with it, so the
-    forward need not keep that output beside the block's batchnorm input.
+    forward need not keep that output beside the block's centered input.
     """
-    xc = np.subtract(x, stats.mean[None, :, None, None])
-    y = _scale_shift(xc, params, stats.var, out=xc)
+    y = _scale_shift(stats.centered, params, stats.var, out=np.empty_like(stats.centered))
     return np.maximum(y, 0, out=y)
 
 
 def batchnorm_backward(
-    x: np.ndarray,
-    params: BatchNormParams,
-    stats: BnStats,
-    grad_out: np.ndarray,
+    params: BatchNormParams, stats: BnStats, grad_out: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Exact gradients of the train-mode forward: (grad_input, grad_gamma, grad_beta)."""
-    if grad_out.shape != x.shape:
-        raise ValueError(f"grad_out shape {grad_out.shape} != input shape {x.shape}")
-    dt = x.dtype
-    m = x.shape[0] * x.shape[2] * x.shape[3]
+    """Exact gradients of the train-mode forward that returned ``stats``, whose
+    centered input it reads: (grad_input, grad_gamma, grad_beta)."""
+    xc = stats.centered
+    if grad_out.shape != xc.shape:
+        raise ValueError(f"grad_out shape {grad_out.shape} != input shape {xc.shape}")
+    dt = xc.dtype
+    m = xc.shape[0] * xc.shape[2] * xc.shape[3]
     inv_std = (1.0 / np.sqrt(stats.var + dt.type(params.epsilon)))[None, :, None, None]
-    x_hat = np.subtract(x, stats.mean[None, :, None, None])
-    x_hat *= inv_std
+    x_hat = np.multiply(xc, inv_std)
 
     prod = np.multiply(grad_out, x_hat)
     grad_gamma = prod.sum(axis=(0, 2, 3))

@@ -70,10 +70,15 @@ class PhantomSpec:
     seed: int = 0
 
     def __post_init__(self):
+        for side in ("height", "width", "slices"):
+            if getattr(self, side) < 1:
+                raise ValueError(f"phantom {side} must be >= 1, got {getattr(self, side)}")
         for e in self.ellipses:
             if e.intensity < 0:
                 raise ValueError("ellipse intensity must be >= 0")
         for l in self.lesions:
+            if not l.radius > 0:
+                raise ValueError(f"lesion radius must be > 0, got {l.radius}")
             y, x = l.center
             if not (l.radius <= y <= self.height - 1 - l.radius and
                     l.radius <= x <= self.width - 1 - l.radius):
@@ -315,6 +320,8 @@ def make_study(
     """Generate a study: for each level fraction, n independent realizations
     at budget fraction*count_budget. With n2n_split, also rebin one full-budget
     acquisition into two equal-count halves under the key "n2n"."""
+    if n_realizations < 1:
+        raise ValueError(f"n_realizations must be >= 1, got {n_realizations}")
     truth = generate_phantom(spec)
     realizations: dict[str, np.ndarray] = {}
     meta_levels: dict[str, dict] = {}
@@ -411,6 +418,8 @@ def random_phantom_spec(
 ) -> PhantomSpec:
     """Draw a plausible random phantom: one big body ellipse, a couple of
     interior ellipses, and hot lesions inside the body."""
+    if n_lesions < 0:
+        raise ValueError(f"n_lesions must be >= 0, got {n_lesions}")
     cy, cx = height / 2.0, width / 2.0
     body_a = height * rng.uniform(0.30, 0.40)
     body_b = width * rng.uniform(0.30, 0.40)

@@ -211,7 +211,7 @@ def test_criterion_02_gradient_fidelity():
             )
             g = rng.standard_normal(x.shape)
             _, stats = batchnorm_forward(x, bn, "train")
-            gx, gg, gbeta = batchnorm_backward(x, bn, stats, g)
+            gx, gg, gbeta = batchnorm_backward(bn, stats, g)
 
             def fx(xv):
                 y, _ = batchnorm_forward(xv, bn, "train")

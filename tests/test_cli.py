@@ -108,9 +108,31 @@ class TestGenData:
             test_studies=[{"name": "probe", "n_lesions": 2}],
         )
         assert main(["gen-data", str(cfg), "--out", str(tmp_path / "o")]) == 2
-        assert "background region is empty" in capsys.readouterr().err
+        assert "test study 'probe': background region is empty" in capsys.readouterr().err
         assert not list(tmp_path.rglob("dataset.json"))
         assert not list(tmp_path.rglob("study.json"))
+
+    @pytest.mark.parametrize(
+        "section,field,value,named",
+        [
+            ("phantoms", "n_train", -1, "phantoms.n_train"),
+            ("phantoms", "n_lesions", -1, "n_lesions"),
+            ("phantoms", "lesion_radius", -3, "lesion radius"),
+            ("test_studies", "n_realizations", 0, "n_realizations"),
+            ("image", "slices", 0, "slices"),
+        ],
+        ids=["n_train", "n_lesions", "lesion_radius", "n_realizations", "slices"],
+    )
+    def test_count_or_size_below_its_minimum_is_config_error_and_writes_nothing(
+        self, tmp_path, capsys, section, field, value, named
+    ):
+        cfg = gen_config(tmp_path)
+        doc = json.loads(cfg.read_text())
+        (doc[section][0] if section == "test_studies" else doc[section])[field] = value
+        cfg.write_text(json.dumps(doc))
+        assert main(["gen-data", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert f"{named} must be" in capsys.readouterr().err
+        assert list(tmp_path.rglob("*")) == [cfg]
 
     @pytest.mark.parametrize(
         "names", [["../x"], ["a/b"], [""], ["."], [".."], ["probe", "probe"]],
@@ -657,6 +679,23 @@ class TestMalformedSidecars:
 
 
 class TestDefaultLevel:
+    @pytest.mark.parametrize("command", ["evaluate", "prune-eval"])
+    def test_study_without_count_levels_asks_for_a_level(
+        self, workspace, tmp_path, capsys, command
+    ):
+        # a study of only the n2n halves and the "full" scan they were split from
+        cfg = gen_config(
+            tmp_path, test_studies=[{"name": "split", "count_levels": [], "n2n_split": True}]
+        )
+        assert main(["gen-data", str(cfg), "--out", str(tmp_path / "data")]) == 0
+        run = [command, str(workspace / "base" / "weights.tgdw"),
+               str(tmp_path / "data" / "studies" / "split")]
+        assert main(run + ["--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert "study has no count levels (keys: full, n2n); choose one with --level" in err
+        assert not (tmp_path / "o").exists()
+        assert main(run + ["--level", "n2n", "--out", str(tmp_path / "n2n")]) == 0
+
     def test_study_without_level_metadata_picks_highest_numeric_level(
         self, workspace, tmp_path
     ):

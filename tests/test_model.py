@@ -234,29 +234,62 @@ class TestBackward:
                     assert a.size <= activation, (i, field.name, a.shape)
 
     def test_bn_block_caches_hold_one_activation(self):
-        # every block but the last holds its conv output, from which the
-        # backward rebuilds the next block's input; only block 0 holds its
-        # own input, the network input
+        # a batchnorm block holds its centered batchnorm input, which the
+        # backward reads in place of the input, and no conv output; only
+        # block 0 holds its own input, the network input, and its conv
+        # output, from which the backward rebuilds block 1's input
         rng = np.random.default_rng(6)
         net = build_network(NetworkConfig(depth=5, channels=16), seed=3)
         x = rng.standard_normal((8, 3, 24, 24)).astype(np.float32)
         _, caches = forward_train(net, x)
-        for i, cache in enumerate(caches[:-1]):
+        for i, cache in enumerate(caches):
             held = [
                 f.name for f in dataclasses.fields(cache)
                 if isinstance(getattr(cache, f.name), np.ndarray)
             ]
-            assert held == (["x", "conv_out"] if i == 0 else ["conv_out"]), i
-            assert cache.conv_out.shape == (8, 16, 24, 24)
-        assert caches[0].x is x and all(cache.x is None for cache in caches[1:])
+            assert held == (["x", "conv_out"] if i == 0 else []), i
+        assert caches[0].x is x and caches[0].conv_out.shape == (8, 16, 24, 24)
+        for cache in caches[1:-1]:
+            assert cache.bn_stats.centered.shape == (8, 16, 24, 24)
 
     def test_blocks_without_batchnorm_cache_no_conv_output(self):
-        # the last block's output is the prediction, which no backward step
-        # rebuilds, so only it holds no conv output
+        # block 0's conv output is its ReLU input; a batchnorm block's conv
+        # output is its batchnorm input, held centered in its BnStats; the
+        # last block's output is the prediction, which no backward step
+        # rebuilds, so it holds nothing
         net = build_network(NetworkConfig(depth=5, channels=16), seed=3)
         x = np.random.default_rng(6).standard_normal((8, 3, 24, 24)).astype(np.float32)
         _, caches = forward_train(net, x)
-        assert [cache.conv_out is None for cache in caches] == [False] * 4 + [True]
+        assert [cache.conv_out is None for cache in caches] == [False] + [True] * 4
+        assert [cache.bn_stats is None for cache in caches] == [True] + [False] * 3 + [True]
+        last = caches[-1]
+        assert (last.x, last.conv_out, last.bn_stats) == (None, None, None)
+
+    def test_forward_peaks_hold_no_batchnorm_input(self):
+        # a 5x16 net at 64x64, batch 8, in activations of [8, 16, 64, 64]
+        # float32: each batchnorm input is freed when the batchnorm forward
+        # returns. forward_train read 7.02 while the caches held the
+        # batchnorm inputs, and forward 4.51 in both modes while the conv
+        # output stayed bound beside the batchnorm output; 6.58 and 3.51 since
+        rng = np.random.default_rng(6)
+        net = build_network(NetworkConfig(depth=5, channels=16), seed=3)
+        x = rng.standard_normal((8, 3, 64, 64)).astype(np.float32)
+        activation = x.nbytes * 16 // 3
+        runs = {
+            "forward_train": lambda: forward_train(net, x),
+            "train": lambda: forward(net, x, "train"),
+            "infer": lambda: forward(net, x, "infer"),
+        }
+        peaks = {}
+        for name, run in runs.items():
+            tracemalloc.start()
+            try:
+                run()
+                peaks[name] = tracemalloc.get_traced_memory()[1] / activation
+            finally:
+                tracemalloc.stop()
+        assert peaks["forward_train"] <= 7.02, peaks
+        assert peaks["train"] < 4.1 and peaks["infer"] < 4.1, peaks
 
     def test_backward_only_reads_its_caches(self):
         net = build_network(NetworkConfig(depth=5, channels=16), seed=3)
@@ -285,11 +318,11 @@ class TestBackward:
     def test_step_peak_is_below_nine_activations(self):
         # one train step, forward plus backward, of a 5x16 net at 64x64,
         # batch 8, in activations of [8, 16, 64, 64] float32. The forward
-        # holds the conv output of every block but the last, plus the
-        # network input; the backward rebuilds every block input above
-        # block 0 and keeps only their sign masks: about 8.2, against 10.2
-        # while each batchnorm block also held its output as the next
-        # block's input
+        # holds the network input, block 0's conv output and each
+        # batchnorm block's centered input; the backward rebuilds every
+        # block input above block 0 and keeps only their sign masks: about
+        # 8.2, against 10.2 while each batchnorm block also held its output
+        # as the next block's input
         rng = np.random.default_rng(6)
         net = build_network(NetworkConfig(depth=5, channels=16), seed=3)
         x = rng.standard_normal((8, 3, 64, 64)).astype(np.float32)

@@ -368,7 +368,7 @@ class TestBatchNormBackward:
         x = rng.standard_normal((2, 2, 3, 3))
         params = make_bn(2)
         _, stats = batchnorm_forward(x, params, "train")
-        gx, gg, gb = batchnorm_backward(x, params, stats, np.zeros_like(x))
+        gx, gg, gb = batchnorm_backward(params, stats, np.zeros_like(x))
         assert not gx.any() and not gg.any() and not gb.any()
 
     def test_grad_beta_is_sum_of_grad_out(self):
@@ -377,7 +377,7 @@ class TestBatchNormBackward:
         g = rng.standard_normal(x.shape)
         params = make_bn(3)
         _, stats = batchnorm_forward(x, params, "train")
-        _, _, gb = batchnorm_backward(x, params, stats, g)
+        _, _, gb = batchnorm_backward(params, stats, g)
         np.testing.assert_allclose(gb, g.sum(axis=(0, 2, 3)), rtol=1e-12)
 
     @pytest.mark.parametrize("seed", [20, 21])
@@ -387,7 +387,7 @@ class TestBatchNormBackward:
         params = make_bn(1, gamma=rng.standard_normal(1), beta=rng.standard_normal(1))
         g = rng.standard_normal(x.shape)
         _, stats = batchnorm_forward(x, params, "train")
-        gx, gg, gb = batchnorm_backward(x, params, stats, g)
+        gx, gg, gb = batchnorm_backward(params, stats, g)
 
         def loss_of_x(xv):
             yv, _ = batchnorm_forward(xv, params, "train")
@@ -463,6 +463,7 @@ class TestBatchNormMatchesExpressionsBitwise:
         assert y.tobytes() == want.tobytes()
         assert stats.mean.tobytes() == mean.tobytes()
         assert stats.var.tobytes() == var.tobytes()
+        assert stats.centered.tobytes() == (x - mean[None, :, None, None]).tobytes()
 
     def test_infer_forward(self, shape, dtype):
         _, x, params = self.setup_case(shape, dtype)
@@ -477,7 +478,7 @@ class TestBatchNormMatchesExpressionsBitwise:
         y, stats = batchnorm_forward(x, params, "train")
         assert (stats.mean < 0).any() and (stats.mean > 0).any()
         assert (params.gamma != 1).all() and (params.beta != 0).all()
-        have = batchnorm_relu_output(x, params, stats)
+        have = batchnorm_relu_output(params, stats)
         assert have.dtype == dtype
         assert have.tobytes() == relu_forward(y).tobytes()
 
@@ -485,7 +486,7 @@ class TestBatchNormMatchesExpressionsBitwise:
         rng, x, params = self.setup_case(shape, dtype)
         g = rng.standard_normal(shape).astype(dtype)
         _, stats = batchnorm_forward(x, params, "train")
-        have = batchnorm_backward(x, params, stats, g)
+        have = batchnorm_backward(params, stats, g)
         want = bn_backward_expressions(x, params, stats.mean, stats.var, g)
         for a, b in zip(have, want):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
