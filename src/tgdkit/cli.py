@@ -9,12 +9,13 @@ computes all of its outputs and checks its output paths before it creates
 the output directory, so a run that fails in either leaves nothing behind.
 An error raised while the files are written (an output path that is a
 dangling symlink, say) can leave the outputs written before it and no
-manifest, which is written last. The manifest's ``config`` holds the fully
-resolved config, or for the commands without a config file their arguments,
-so a run can be reproduced byte for byte from the manifest alone. The
-manifest hashes the file each input and output entry names; for a dataset or
-a study that is its JSON sidecar only, not the volumes. Every JSON file
-written is strict JSON.
+manifest, which is written last. The manifest's ``config`` holds the
+resolved config (gen-data echoes ``phantoms`` and ``test_studies`` as given,
+so their code defaults apply), or for the commands without a config file
+their arguments, so a run can be reproduced byte for byte from the manifest
+alone. The manifest hashes the file each input and output entry names; for a
+dataset or a study that is its JSON sidecar only, not the volumes. Every
+JSON file written is strict JSON.
 """
 
 from __future__ import annotations

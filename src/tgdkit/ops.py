@@ -158,16 +158,11 @@ def conv2d_backward(
     x: np.ndarray, params: ConvParams, grad_out: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Parameter gradients of conv2d_forward on input x: (grad_weights,
-    grad_bias). Each sample's patch matrix is rebuilt, and the per-sample
-    products are summed over the batch.
-
-    In float32 each sample's product is taken as ``cols @ g.T`` ([9C, N])
-    and the batch sum transposed once. It is bit-identical to ``g @ cols.T``
-    ([N, 9C]), every element being the same length-HW dot product, and
-    OpenBLAS runs it faster at the training shapes (at 16 channels, 24x24,
-    about 47 against 80 us per sample on one AVX-512 thread, OpenBLAS
-    0.3.31). Other dtypes keep ``g @ cols.T``: OpenBLAS's float64 kernels
-    sum many shapes (N >= 12) in another order when the operands swap.
+    grad_bias). Each sample's patch matrix is rebuilt, its product taken
+    as ``cols @ g.T`` ([9C, N]), and the batch sum transposed once. OpenBLAS
+    runs that orientation faster than ``g @ cols.T`` at the training shapes
+    (at 16 channels, 24x24, float32, about 47 against 80 us per sample on
+    one AVX-512 thread, OpenBLAS 0.3.31).
 
     grad_bias is None when the layer has no bias. The input gradient is
     :func:`conv2d_grad_input`, which needs no x.
@@ -180,15 +175,10 @@ def conv2d_backward(
             f"and weights {params.weights.shape}"
         )
     gmat = grad_out.reshape(b, n, h * w)
-    dt = np.result_type(gmat, x)
-    rows = c * KERNEL_SIZE * KERNEL_SIZE
-    swap = dt == np.float32
-    per = np.empty((b, rows, n) if swap else (b, n, rows), dt)
+    per = np.empty((b, c * KERNEL_SIZE * KERNEL_SIZE, n), np.result_type(gmat, x))
     for per_k, g_k, cols in zip(per, gmat, _im2col(x)):
-        lhs, rhs = (cols, g_k) if swap else (g_k, cols)
-        np.matmul(lhs, rhs.T, out=per_k)
-    total = per.sum(axis=0)
-    grad_w = (total.T if swap else total).reshape(n, c, KERNEL_SIZE, KERNEL_SIZE)
+        np.matmul(cols, g_k.T, out=per_k)
+    grad_w = per.sum(axis=0).T.reshape(n, c, KERNEL_SIZE, KERNEL_SIZE)
     grad_b = grad_out.sum(axis=(0, 2, 3)) if params.bias is not None else None
     return grad_w, grad_b
 
@@ -196,7 +186,7 @@ def conv2d_backward(
 def conv2d_grad_input(params: ConvParams, grad_out: np.ndarray) -> np.ndarray:
     """Gradient of conv2d_forward wrt its input: the correlation of grad_out
     with the 180-degree-rotated kernels, output and input channel roles
-    swapped."""
+    exchanged."""
     w_flip = np.ascontiguousarray(
         params.weights[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
     )
@@ -211,7 +201,9 @@ def batchnorm_forward(
     Train mode uses biased batch statistics over (B, H, W) and returns them,
     with the centered input it builds on the way, as the BnStats the
     backward pass takes; the running statistics are left as they are. Infer
-    mode uses the stored running statistics and returns stats=None.
+    mode puts the stored running statistics through the same normalize
+    step, so given a batch's statistics it gives train mode's bytes, and
+    returns stats=None.
     """
     if mode not in ("train", "infer"):
         raise ValueError(f"mode must be 'train' or 'infer', got {mode!r}")
@@ -220,17 +212,8 @@ def batchnorm_forward(
             f"batchnorm input shape {x.shape} incompatible with C={params.channels}"
         )
     if mode == "infer":
-        dt = x.dtype
-        gamma = params.gamma.astype(dt, copy=False)[None, :, None, None]
-        beta = params.beta.astype(dt, copy=False)[None, :, None, None]
-        mean = params.running_mean.astype(dt, copy=False)[None, :, None, None]
-        var = params.running_var.astype(dt, copy=False)[None, :, None, None]
-        # gamma * (x - mean) / sqrt(var + eps) + beta, in one buffer
-        y = np.subtract(x, mean)
-        np.multiply(gamma, y, out=y)
-        y /= np.sqrt(var + dt.type(params.epsilon))
-        y += beta
-        return y, None
+        xc = x - params.running_mean.astype(x.dtype, copy=False)[None, :, None, None]
+        return _scale_shift(xc, params, params.running_var, out=xc), None
 
     m = x.shape[0] * x.shape[2] * x.shape[3]
     if m < 2:
@@ -245,10 +228,11 @@ def batchnorm_forward(
 
 def _scale_shift(xc: np.ndarray, params: BatchNormParams, var: np.ndarray, out: np.ndarray):
     """gamma * xc * inv_std + beta for the centered input xc, written into
-    ``out``: the train-mode output step, shared by batchnorm_forward and
-    batchnorm_relu_output so that the two give the same bytes."""
+    ``out``: the one normalize step of both batchnorm_forward modes and of
+    batchnorm_relu_output, so that given the same statistics all three give
+    the same bytes."""
     dt = xc.dtype
-    inv_std = 1.0 / np.sqrt(var + dt.type(params.epsilon))
+    inv_std = 1.0 / np.sqrt(var.astype(dt, copy=False) + dt.type(params.epsilon))
     np.multiply(params.gamma.astype(dt, copy=False)[None, :, None, None], xc, out=out)
     out *= inv_std[None, :, None, None]
     out += params.beta.astype(dt, copy=False)[None, :, None, None]

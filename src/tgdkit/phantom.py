@@ -79,6 +79,8 @@ class PhantomSpec:
         for l in self.lesions:
             if not l.radius > 0:
                 raise ValueError(f"lesion radius must be > 0, got {l.radius}")
+            if not 0 <= l.contrast < math.inf:
+                raise ValueError(f"lesion_contrast must be finite and >= 0, got {l.contrast}")
             y, x = l.center
             if not (l.radius <= y <= self.height - 1 - l.radius and
                     l.radius <= x <= self.width - 1 - l.radius):
@@ -289,6 +291,17 @@ def level_key(fraction: float) -> str:
     return format(float(fraction), ".6g")
 
 
+def _level_keys(count_levels) -> list[str]:
+    """The key of each count level. Levels must be finite and positive, and
+    no two may share a key, which would keep only the last one's scans."""
+    if not all(0 < frac < math.inf for frac in count_levels):
+        raise ValueError(f"count_levels must be finite and positive, got {list(count_levels)}")
+    keys = [level_key(frac) for frac in count_levels]
+    if len(set(keys)) < len(keys):
+        raise ValueError(f"count_levels must be distinct to 6 significant digits: {keys}")
+    return keys
+
+
 @dataclass
 class Study:
     """One phantom's ground truth plus noisy realizations keyed by count level."""
@@ -322,15 +335,15 @@ def make_study(
     acquisition into two equal-count halves under the key "n2n"."""
     if n_realizations < 1:
         raise ValueError(f"n_realizations must be >= 1, got {n_realizations}")
+    keys = _level_keys(count_levels)
     truth = generate_phantom(spec)
     realizations: dict[str, np.ndarray] = {}
     meta_levels: dict[str, dict] = {}
-    for li, frac in enumerate(count_levels):
+    for li, (frac, key) in enumerate(zip(count_levels, keys)):
         scans = [
             _seeded_scan(truth, protocol, frac, (spec.seed, li, r))
             for r in range(n_realizations)
         ]
-        key = level_key(frac)
         realizations[key] = np.stack([vol for vol, _ in scans])
         meta_levels[key] = {"fraction": frac, "seeds": [seed for _, seed in scans]}
     metadata = {
@@ -388,13 +401,14 @@ def build_dataset(
         raise ValueError("count_levels must be nonempty")
     if not 0 <= n_val <= len(specs):
         raise ValueError("n_val out of range")
+    keys = _level_keys(count_levels)
     studies: list[StudyPair] = []
     for pid, spec in enumerate(specs):
         truth = generate_phantom(spec)
         target, _ = _seeded_scan(truth, protocol, 1.0, (spec.seed, 0))
         inputs = {
-            level_key(frac): _seeded_scan(truth, protocol, frac, (spec.seed, 1 + li))[0]
-            for li, frac in enumerate(count_levels)
+            key: _seeded_scan(truth, protocol, frac, (spec.seed, 1 + li))[0]
+            for li, (frac, key) in enumerate(zip(count_levels, keys))
         }
         studies.append(StudyPair(pid, truth, target, inputs))
     split = len(specs) - n_val

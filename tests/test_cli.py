@@ -2,10 +2,12 @@
 
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
 import tempfile
+import time
 import warnings
 from dataclasses import asdict
 from functools import partial
@@ -118,20 +120,42 @@ class TestGenData:
             ("phantoms", "n_train", -1, "phantoms.n_train"),
             ("phantoms", "n_lesions", -1, "n_lesions"),
             ("phantoms", "lesion_radius", -3, "lesion radius"),
+            ("phantoms", "lesion_contrast", -2, "lesion_contrast"),
             ("test_studies", "n_realizations", 0, "n_realizations"),
+            ("test_studies", "count_levels", [0], "count_levels"),
+            (None, "count_levels", [0], "count_levels"),
             ("image", "slices", 0, "slices"),
         ],
-        ids=["n_train", "n_lesions", "lesion_radius", "n_realizations", "slices"],
+        ids=[
+            "n_train", "n_lesions", "lesion_radius", "lesion_contrast",
+            "n_realizations", "study_count_levels", "count_levels", "slices",
+        ],
     )
     def test_count_or_size_below_its_minimum_is_config_error_and_writes_nothing(
         self, tmp_path, capsys, section, field, value, named
     ):
         cfg = gen_config(tmp_path)
         doc = json.loads(cfg.read_text())
-        (doc[section][0] if section == "test_studies" else doc[section])[field] = value
+        node = doc[section] if section else doc
+        (node[0] if section == "test_studies" else node)[field] = value
         cfg.write_text(json.dumps(doc))
         assert main(["gen-data", str(cfg), "--out", str(tmp_path / "o")]) == 2
         assert f"{named} must be" in capsys.readouterr().err
+        assert list(tmp_path.rglob("*")) == [cfg]
+
+    @pytest.mark.parametrize("levels", [[0.1, 0.1], [0.1, 0.1000001]], ids=["same", "same_key"])
+    @pytest.mark.parametrize("study", [False, True], ids=["dataset", "test_study"])
+    def test_levels_of_one_level_key_are_config_error_and_write_nothing(
+        self, tmp_path, capsys, study, levels
+    ):
+        # a level's scans are stored under its level key, so a second level
+        # with the same key would replace the first
+        cfg = gen_config(tmp_path)
+        doc = json.loads(cfg.read_text())
+        (doc["test_studies"][0] if study else doc)["count_levels"] = levels
+        cfg.write_text(json.dumps(doc))
+        assert main(["gen-data", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert "count_levels must be distinct" in capsys.readouterr().err
         assert list(tmp_path.rglob("*")) == [cfg]
 
     @pytest.mark.parametrize(
@@ -379,6 +403,29 @@ class TestKseReport:
             resources.files("tgdkit").joinpath("schemas/kse_report.schema.json").read_text()
         )
         jsonschema.validate(doc, schema)
+
+    def test_default_out_dir_is_named_by_subcommand_time_and_config(
+        self, workspace, tmp_path, monkeypatch
+    ):
+        # without --out a run goes to runs/<subcommand>-<UTC stamp>-<hash8>,
+        # the first 8 hex digits of the hash of the manifest's config
+        weights = workspace / "base" / "weights.tgdw"
+        monkeypatch.chdir(tmp_path)
+        stamp = lambda: time.strftime("%Y%m%dT%H%M%S", time.gmtime())
+        before = stamp()
+        assert main(["kse-report", str(weights)]) == 0
+        after = stamp()
+        (run,) = (tmp_path / "runs").iterdir()
+        name = re.fullmatch(r"kse-report-(\d{8}T\d{6})-([0-9a-f]{8})", run.name)
+        assert name and before <= name[1] <= after
+        manifest = json.loads((run / "manifest.json").read_text())
+        assert manifest["subcommand"] == "kse-report"
+        assert manifest["config"]["weights"] == str(weights)
+        assert name[2] == cli._config_hash(manifest["config"])[:8]
+        assert sorted(manifest["outputs"]) == ["kse_report", "sweep", "sweep_table"]
+        for entry in manifest["outputs"].values():
+            assert Path(entry["path"]).parent == Path("runs") / run.name
+            assert entry["sha256"] == sha256_file(entry["path"])
 
     def test_sweep_dropped_fraction_nondecreasing(self, workspace, tmp_path):
         assert main([

@@ -126,6 +126,24 @@ class TestForward:
         two = forward(net, x[1:])
         np.testing.assert_allclose(both, np.concatenate([one, two]), atol=1e-6)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_infer_with_the_batch_statistics_is_train(self, dtype):
+        # infer mode is train mode with the statistics substituted: once
+        # every batchnorm block holds its batch's, the two give one output
+        rng = np.random.default_rng(4)
+        net = build_network(NetworkConfig(depth=5, channels=8), seed=4)
+        cast_network(net, dtype)
+        for block in net.blocks[1:-1]:
+            block.bn.gamma = rng.uniform(0.5, 2.0, 8).astype(dtype)
+            block.bn.beta = rng.standard_normal(8).astype(dtype)
+        x = rng.standard_normal((3, 3, 11, 13)).astype(dtype)
+        _, caches = forward_train(net, x)
+        for block, cache in zip(net.blocks, caches):
+            if block.bn is not None:
+                block.bn.running_mean = cache.bn_stats.mean
+                block.bn.running_var = cache.bn_stats.var
+        assert forward(net, x, "infer").tobytes() == forward(net, x, "train").tobytes()
+
     def test_matches_straight_line_composition(self):
         rng = np.random.default_rng(2)
         net = build_network(NetworkConfig(depth=5, channels=5), seed=9)

@@ -152,7 +152,8 @@ class TestConvBackward:
 
 def batched_conv(x, params, g):
     """(y, grad_weights, grad_input) from one [B, 9C, HW] patch matrix for the
-    whole batch, one batched GEMM per op and a batch sum for the weights."""
+    whole batch, one batched GEMM per op; grad_weights is ``patches @ g.T``
+    summed over the batch and transposed."""
 
     def patches(a):
         b, c, h, w = a.shape
@@ -172,7 +173,7 @@ def batched_conv(x, params, g):
 
     b, n, h, w = g.shape
     y = forward(x, params.weights, params.bias)
-    gw = np.matmul(g.reshape(b, n, h * w), patches(x).transpose(0, 2, 1)).sum(axis=0)
+    gw = np.matmul(patches(x), g.reshape(b, n, h * w).transpose(0, 2, 1)).sum(axis=0).T
     w_flip = np.ascontiguousarray(params.weights[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))
     return y, gw.reshape(params.weights.shape), forward(g, w_flip, None)
 
@@ -212,7 +213,7 @@ class TestConvWorkspace:
             (3, 24, 24),  # block 0, which eats three slices
             (16, 24, 1),
             (16, 24, 2),
-            (27, 3, 5),  # OpenBLAS rounds float64 cols @ g.T here unlike g @ cols.T
+            (27, 3, 5),  # pins cols @ g.T: float64 g @ cols.T rounds otherwise here
         ],
     )
     def test_training_shapes_match_batched_gemm_bitwise(self, c, h, w, b, n, dtype):
@@ -406,21 +407,24 @@ class TestBatchNormBackward:
 
 def bn_forward_expressions(x, params, mode):
     """batchnorm_forward as plain expressions, one temporary per operator:
-    (y, mean, var), the statistics None in infer mode."""
+    (y, mean, var), the statistics None in infer mode. Both modes share the
+    normalize expression; infer mode feeds it the running statistics."""
     dt = x.dtype
     gamma = params.gamma.astype(dt, copy=False)[None, :, None, None]
     beta = params.beta.astype(dt, copy=False)[None, :, None, None]
     eps = dt.type(params.epsilon)
     if mode == "infer":
-        mean = params.running_mean.astype(dt, copy=False)[None, :, None, None]
-        var = params.running_var.astype(dt, copy=False)[None, :, None, None]
-        return gamma * (x - mean) / np.sqrt(var + eps) + beta, None, None
-    m = x.shape[0] * x.shape[2] * x.shape[3]
-    mean = x.mean(axis=(0, 2, 3))
-    xc = x - mean[None, :, None, None]
-    var = (xc * xc).sum(axis=(0, 2, 3)) / m
+        mean = params.running_mean.astype(dt, copy=False)
+        var = params.running_var.astype(dt, copy=False)
+        xc = x - mean[None, :, None, None]
+    else:
+        m = x.shape[0] * x.shape[2] * x.shape[3]
+        mean = x.mean(axis=(0, 2, 3))
+        xc = x - mean[None, :, None, None]
+        var = (xc * xc).sum(axis=(0, 2, 3)) / m
     inv_std = 1.0 / np.sqrt(var + eps)
-    return gamma * xc * inv_std[None, :, None, None] + beta, mean, var
+    y = gamma * xc * inv_std[None, :, None, None] + beta
+    return (y, None, None) if mode == "infer" else (y, mean, var)
 
 
 def bn_backward_expressions(x, params, mean, var, grad_out):
@@ -469,6 +473,12 @@ class TestBatchNormMatchesExpressionsBitwise:
         _, x, params = self.setup_case(shape, dtype)
         y, _ = batchnorm_forward(x, params, "infer")
         assert y.tobytes() == bn_forward_expressions(x, params, "infer")[0].tobytes()
+
+    def test_infer_with_the_batch_statistics_is_train(self, shape, dtype):
+        _, x, params = self.setup_case(shape, dtype)
+        y, stats = batchnorm_forward(x, params, "train")
+        params.running_mean, params.running_var = stats.mean, stats.var
+        assert batchnorm_forward(x, params, "infer")[0].tobytes() == y.tobytes()
 
     def test_relu_output_rebuild(self, shape, dtype):
         # the backward's rebuild of a batchnorm + ReLU output, here from

@@ -111,6 +111,11 @@ class TestGeneratePhantom:
         with pytest.raises(ValueError, match="intensity"):
             PhantomSpec(16, 16, 3, (Ellipse((8, 8), (4, 4), -1.0),))
 
+    @pytest.mark.parametrize("contrast", [-2.0, float("nan"), float("inf")])
+    def test_negative_or_non_finite_lesion_contrast_rejected(self, contrast):
+        with pytest.raises(ValueError, match="lesion_contrast"):
+            body_spec(lesions=(Lesion((20, 20), 3.0, contrast),))
+
 
 class TestGaussianBlur:
     # below sigma 0.125 the kernel is one tap; at 1e-200 sigma**2 underflows
@@ -278,6 +283,21 @@ class TestBuildDataset:
     def test_empty_levels_rejected(self):
         with pytest.raises(ValueError, match="nonempty"):
             build_dataset([body_spec()], ScanProtocol(1.0, 1e5), count_levels=())
+
+    @pytest.mark.parametrize(
+        "levels", [(0.1, 0.1), (0.1, 0.1000001), (0.0,), (0.1, float("nan"))]
+    )
+    def test_zero_or_key_sharing_levels_rejected(self, levels):
+        # 0.1000001 has level key "0.1" too, and would replace the first scan
+        with pytest.raises(ValueError, match="count_levels"):
+            build_dataset([body_spec()], ScanProtocol(1.0, 1e5), count_levels=levels)
+
+
+class TestMakeStudy:
+    @pytest.mark.parametrize("levels", [(0.1, 0.1), (0.1, 0.1000001), (0.0,)])
+    def test_zero_or_key_sharing_levels_rejected(self, levels):
+        with pytest.raises(ValueError, match="count_levels"):
+            make_study(body_spec(), ScanProtocol(1.0, 1e5), count_levels=levels)
 
 
 class TestStudyIo:
