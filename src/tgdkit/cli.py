@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import math
 import os
 import sys
 import time
@@ -193,9 +194,27 @@ TRAIN_FIELDS = {
 # "phi"/"freeze_last_layer" are the config-file spellings of two fields;
 # manifests echo the field names, and replaying a manifest must work too
 SPELLINGS = {"phi": "kse_threshold", "freeze_last_layer": "last_layer_frozen"}
+TRAIN_SECTIONS = {
+    "kse": {"alpha": float, "k_neighbors": int},
+    "network": {"depth": int, "channels": int, "input_slices": int},
+}
 
 
 def _train_config(cfg: dict, args, mode: str) -> TrainConfig:
+    """The run's TrainConfig. A key the command does not read is a
+    ConfigError; ``mode`` may be set (a manifest echoes it) only to the
+    command's own mode."""
+    sections = {s: given(cfg, kinds, s) for s, kinds in TRAIN_SECTIONS.items()}
+    if cfg.get("mode", mode) != mode:
+        raise ConfigError(f"field mode must be {mode!r} here, got {cfg['mode']!r}")
+    known = {"mode", "study" if mode == "n2n_online" else "dataset", *TRAIN_FIELDS,
+             *TRAIN_SECTIONS, *(("weights",) if mode != "scratch" else ())}
+    unknown = [k for k in cfg if k not in known] + [
+        f"{s}.{k}" for s, kinds in TRAIN_SECTIONS.items() for k in cfg.get(s, {})
+        if k not in kinds
+    ]
+    if unknown:
+        raise ConfigError(f"unknown field: {unknown[0]}")
     for spelling, field_name in SPELLINGS.items():
         if spelling in cfg and field_name in cfg:
             raise ConfigError(f"config sets both {spelling} and {field_name}")
@@ -205,10 +224,8 @@ def _train_config(cfg: dict, args, mode: str) -> TrainConfig:
             kw[SPELLINGS.get(flag, flag)] = getattr(args, flag)
     return TrainConfig(
         mode=mode,
-        kse=KseConfig(**given(cfg, {"alpha": float, "k_neighbors": int}, "kse")),
-        network=NetworkConfig(**given(
-            cfg, {"depth": int, "channels": int, "input_slices": int}, "network"
-        )),
+        kse=KseConfig(**sections["kse"]),
+        network=NetworkConfig(**sections["network"]),
         **kw,
     )
 
@@ -290,12 +307,20 @@ def cmd_gen_data(args) -> int:
         )
         ood = need(tcfg, "ood_lesion", dict | None, None)
         if ood is not None:
-            extra = Lesion(
-                tuple(need(ood, "center", list[float], where="ood_lesion")),
-                float(need(ood, "radius", float, where="ood_lesion")),
-                float(need(ood, "contrast", float, where="ood_lesion")),
-            )
-            spec = replace(spec, lesions=spec.lesions + (extra,))
+            where = f"ood_lesion of test study {name!r}"
+            radius = float(need(ood, "radius", float, where=where))
+            contrast = float(need(ood, "contrast", float, where=where))
+            if not radius > 0:
+                raise ConfigError(f"field radius must be > 0, got {radius} (in {where})")
+            if not 0 <= contrast < math.inf:
+                raise ConfigError(
+                    f"field contrast must be finite and >= 0, got {contrast} (in {where})"
+                )
+            extra = Lesion(tuple(need(ood, "center", list[float], where=where)), radius, contrast)
+            try:
+                spec = replace(spec, lesions=spec.lesions + (extra,))
+            except ValueError as e:
+                raise ConfigError(f"{e} (in {where})") from e
         study = make_study(spec, protocol, **given(tcfg, {
             "count_levels": list[float], "n_realizations": int, "n2n_split": bool,
         }))
@@ -333,7 +358,6 @@ def cmd_training(args, mode: str) -> int:
     resolved = {source: str(source_dir), **asdict(tc)}
     if mode != "scratch":
         resolved["weights"] = str(Path(need(cfg, "weights", str)))
-        resolved["generation"] = need(cfg, "generation", int, 1)
     inputs = {source: source_dir / f"{source}.json"}
 
     if mode == "n2n_online":
@@ -348,14 +372,11 @@ def cmd_training(args, mode: str) -> int:
     else:
         inputs["weights"] = Path(resolved["weights"])
         base = load_weights(inputs["weights"], expect=tc.network)
-        generation = resolved["generation"]
         if mode == "tgd_finetune":
-            net, record, masks = finetune_tgd(base, tc, dataset, generation=generation)
+            net, record, masks = finetune_tgd(base, tc, dataset)
         else:
             halves = study.realizations["n2n"]
-            net, record = online_n2n(
-                base, tc, halves[0], halves[1], generation=generation
-            )
+            net, record = online_n2n(base, tc, halves[0], halves[1])
 
     name = "n2n" if mode == "n2n_online" else mode
     net.version_tag = f"{name}-seed{tc.seed}"

@@ -36,7 +36,6 @@ class MaskSet:
     conv_masks: list[np.ndarray]
     threshold: float
     source: str
-    generation: int = 1
 
     def __post_init__(self):
         for m in self.conv_masks:
@@ -53,7 +52,6 @@ class MaskSet:
         return {
             "threshold": self.threshold,
             "source": self.source,
-            "generation": self.generation,
             "conv_masks": [[int(v) for v in m] for m in self.conv_masks],
             "bn_masks": [
                 None if m is None else [int(v) for v in m] for m in self.bn_masks
@@ -70,11 +68,7 @@ class MaskSet:
 
 
 def build_masks(
-    net: Network,
-    report: KseReport,
-    threshold: float,
-    last_layer_frozen: bool = True,
-    generation: int = 1,
+    net: Network, report: KseReport, threshold: float, last_layer_frozen: bool = True
 ) -> MaskSet:
     """Map next-layer input KSE scores onto this layer's output channels.
 
@@ -87,7 +81,7 @@ def build_masks(
     conv_masks = [r.astype(np.uint8) for r in redundant[1:]]
     last = net.blocks[-1].conv.out_channels
     conv_masks.append(np.full(last, 0 if last_layer_frozen else 1, np.uint8))
-    return MaskSet(conv_masks, float(threshold), report.source, generation)
+    return MaskSet(conv_masks, float(threshold), report.source)
 
 
 def all_ones_masks(net: Network) -> list[np.ndarray]:

@@ -111,13 +111,15 @@ class PhantomSpec:
 class ScanProtocol:
     psf_sigma: float
     count_budget: float
-    seed: int = 0
+    seed: int = 0  # the root make_study derives each scan's seed from
 
     def __post_init__(self):
         if not 0 < self.psf_sigma < math.inf:  # NaN fails every comparison
             raise ValueError("psf_sigma must be finite and positive")
         if not 0 < self.count_budget < math.inf:
             raise ValueError("count_budget must be finite and positive")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -216,13 +218,13 @@ def _count_scale(activity: np.ndarray, count_budget: float) -> float:
 
 
 def simulate_counts(
-    activity: np.ndarray, protocol: ScanProtocol, seed: int | None = None
+    activity: np.ndarray, protocol: ScanProtocol, seed: int
 ) -> tuple[np.ndarray, float]:
     """Draw raw Poisson counts (pre-PSF) and return them with the scale."""
     if np.any(activity < 0):
         raise ValueError("activity must be nonnegative")
     scale = _count_scale(activity, protocol.count_budget)
-    rng = np.random.default_rng(protocol.seed if seed is None else seed)
+    rng = np.random.default_rng(seed)
     counts = rng.poisson(activity.astype(np.float64) * scale)
     return counts, scale
 
@@ -235,7 +237,7 @@ def _image_from_counts(counts: np.ndarray, scale: float, psf_sigma: float) -> np
 
 
 def simulate_scan(
-    activity: np.ndarray, protocol: ScanProtocol, seed: int | None = None
+    activity: np.ndarray, protocol: ScanProtocol, seed: int
 ) -> np.ndarray:
     """One noisy realization of the activity, in activity units.
 
@@ -268,7 +270,7 @@ def thin(count_image: np.ndarray, p: float, seed: int) -> tuple[np.ndarray, np.n
 
 
 def split_scan(
-    activity: np.ndarray, protocol: ScanProtocol, seed: int | None = None
+    activity: np.ndarray, protocol: ScanProtocol, seed: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Simulate one acquisition and rebin it into two equal-count halves.
 
@@ -276,8 +278,7 @@ def split_scan(
     activity units so each half is an unbiased image of the blurred
     activity, just twice as noisy as the full scan.
     """
-    base = protocol.seed if seed is None else seed
-    ss = np.random.SeedSequence(entropy=base, spawn_key=(7,))
+    ss = np.random.SeedSequence(entropy=seed, spawn_key=(7,))
     s_counts, s_thin = [int(c.generate_state(1)[0]) for c in ss.spawn(2)]
     counts, scale = simulate_counts(activity, protocol, seed=s_counts)
     h1, h2 = thin(counts, 0.5, s_thin)

@@ -74,6 +74,8 @@ class TrainConfig:
             raise ValueError("epochs must be >= 0")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not 0 < self.learning_rate < math.inf:  # NaN fails every comparison
             raise ValueError("learning_rate must be finite and positive")
         if not 0 <= self.weight_decay < math.inf:
@@ -176,12 +178,12 @@ def _resolve_pairs(dataset) -> tuple[list, list]:
 
 
 def _fit(
-    net: Network, config: TrainConfig, dataset, mode: str, generation: int | None = None
+    net: Network, config: TrainConfig, dataset, mode: str
 ) -> tuple[Network, TrainRecord, MaskSet | None]:
     """The body of every protocol: train a copy of ``net`` and record the
     run. ``config`` must be for the calling protocol's ``mode``, whose
-    defaults it holds. With a mask ``generation``, only the channels that
-    pass the KSE masks at ``config.kse_threshold`` train; without one, all of
+    defaults it holds. Outside scratch training, only the channels that pass
+    the KSE masks at ``config.kse_threshold`` train; from scratch all of
     them do (the all-ones masks). Zero epochs train nothing and return an
     unchanged copy. The freeze contract is checked afterwards."""
     if config.mode != mode:
@@ -190,12 +192,11 @@ def _fit(
     if not train_pairs:
         raise ValueError("dataset is empty")
     masks = None
-    if generation is not None:
+    if mode != "scratch":
         if config.kse_threshold is None:
             raise ValueError(f"{config.mode} training requires kse_threshold")
         masks = build_masks(
-            net, kse_scores(net, config.kse), config.kse_threshold,
-            config.last_layer_frozen, generation,
+            net, kse_scores(net, config.kse), config.kse_threshold, config.last_layer_frozen
         )
     conv_masks = all_ones_masks(net) if masks is None else masks.conv_masks
     tuned = net.copy()
@@ -245,11 +246,11 @@ def _assert_frozen_exact(before: Network, after: Network, conv_masks: list) -> N
 
 
 def finetune_tgd(
-    net: Network, config: TrainConfig, dataset, generation: int = 1
+    net: Network, config: TrainConfig, dataset
 ) -> tuple[Network, TrainRecord, MaskSet]:
     """Adapt a pre-trained net to new data, retraining only the channels
     whose downstream feature maps score below the KSE threshold."""
-    return _fit(net, config, dataset, "tgd_finetune", generation)
+    return _fit(net, config, dataset, "tgd_finetune")
 
 
 def online_n2n(
@@ -257,7 +258,6 @@ def online_n2n(
     config: TrainConfig,
     realization_a: np.ndarray,
     realization_b: np.ndarray,
-    generation: int = 1,
 ) -> tuple[Network, TrainRecord]:
     """Masked fine-tuning on one study: each equal-count realization serves
     as the other's target, so no clean reference is needed.
@@ -273,5 +273,5 @@ def online_n2n(
     if realization_b.tobytes() < realization_a.tobytes():
         realization_a, realization_b = realization_b, realization_a
     pairs = [(realization_a, realization_b), (realization_b, realization_a)]
-    tuned, record, _ = _fit(net, config, pairs, "n2n_online", generation)
+    tuned, record, _ = _fit(net, config, pairs, "n2n_online")
     return tuned, record

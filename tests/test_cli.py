@@ -125,10 +125,11 @@ class TestGenData:
             ("test_studies", "count_levels", [0], "count_levels"),
             (None, "count_levels", [0], "count_levels"),
             ("image", "slices", 0, "slices"),
+            (None, "seed", -1, "seed"),
         ],
         ids=[
             "n_train", "n_lesions", "lesion_radius", "lesion_contrast",
-            "n_realizations", "study_count_levels", "count_levels", "slices",
+            "n_realizations", "study_count_levels", "count_levels", "slices", "seed",
         ],
     )
     def test_count_or_size_below_its_minimum_is_config_error_and_writes_nothing(
@@ -156,6 +157,25 @@ class TestGenData:
         cfg.write_text(json.dumps(doc))
         assert main(["gen-data", str(cfg), "--out", str(tmp_path / "o")]) == 2
         assert "count_levels must be distinct" in capsys.readouterr().err
+        assert list(tmp_path.rglob("*")) == [cfg]
+
+    @pytest.mark.parametrize(
+        "change,named",
+        [
+            ({"contrast": -1}, "field contrast must be finite and >= 0"),
+            ({"radius": 0}, "field radius must be > 0"),
+            ({"center": [1, 1]}, "out of bounds"),
+        ],
+        ids=["contrast", "radius", "center"],
+    )
+    def test_bad_ood_lesion_is_config_error_naming_it_and_the_study(
+        self, tmp_path, capsys, change, named
+    ):
+        ood = {"center": [8.0, 8.0], "radius": 2.0, "contrast": 3.0, **change}
+        cfg = gen_config(tmp_path, test_studies=[{"name": "probe", "ood_lesion": ood}])
+        assert main(["gen-data", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert named in err and "(in ood_lesion of test study 'probe')" in err
         assert list(tmp_path.rglob("*")) == [cfg]
 
     @pytest.mark.parametrize(
@@ -253,6 +273,24 @@ class TestTrain:
         assert main([*argv, "--out", str(tmp_path / "o")]) == 0
         net = load_weights(tmp_path / "o" / "weights.tgdw")
         assert network_hash(net) == network_hash(build_network(NetworkConfig(**NET), 2))
+
+    @pytest.mark.parametrize("sub", ["train", "n2n"])
+    def test_negative_seed_flag_is_config_error_before_loading(
+        self, workspace, tmp_path, capsys, monkeypatch, sub
+    ):
+        def never(*args, **kwargs):
+            raise AssertionError("loaded inputs although the seed is invalid")
+
+        monkeypatch.setattr(cli, "load_dataset", never)
+        monkeypatch.setattr(cli, "load_study", never)
+        (tmp_path / "c.json").write_text(json.dumps({
+            "train": lambda: json.loads((workspace / "train.json").read_text()),
+            "n2n": lambda: n2n_config(workspace),
+        }[sub]()))
+        argv = [sub, str(tmp_path / "c.json"), "--seed", "-1", "--out", str(tmp_path / "o")]
+        assert main(argv) == 2
+        assert "config error: seed must be >= 0, got -1" in capsys.readouterr().err
+        assert [f.name for f in tmp_path.iterdir()] == ["c.json"]
 
     @pytest.mark.parametrize("out", ["file", "file/sub"])
     def test_uncreatable_out_dir_is_config_error(
@@ -772,6 +810,22 @@ class TestManifestReplay:
             == (workspace / "base" / "weights.tgdw").read_bytes()
         )
 
+    @pytest.mark.parametrize("sub", ["tgd-finetune", "n2n"])
+    def test_masked_run_manifest_config_reproduces_run(self, workspace, tmp_path, sub):
+        # its config echoes mode, weights and both sections, all read keys
+        cfg = {
+            "tgd-finetune": {**json.loads((workspace / "train.json").read_text()),
+                             "weights": str(workspace / "base" / "weights.tgdw"), "phi": 0.5},
+            "n2n": n2n_config(workspace),
+        }[sub]
+        (tmp_path / "c.json").write_text(json.dumps({**cfg, "epochs": 1}))
+        assert main([sub, str(tmp_path / "c.json"), "--out", str(tmp_path / "a")]) == 0
+        manifest = json.loads((tmp_path / "a" / "manifest.json").read_text())
+        (tmp_path / "r.json").write_text(json.dumps(manifest["config"]))
+        assert main([sub, str(tmp_path / "r.json"), "--out", str(tmp_path / "b")]) == 0
+        assert ((tmp_path / "a" / "weights.tgdw").read_bytes()
+                == (tmp_path / "b" / "weights.tgdw").read_bytes())
+
 
 class TestRunWriters:
     def test_every_command_writes_strict_json_and_true_hashes(self, workspace, tmp_path):
@@ -867,7 +921,6 @@ MISTYPED = [
     ("gen-data", "test_studies.0.n_realizations", "x"),
     ("n2n", "phi", "x"),
     ("n2n", "kse.alpha", "x"),
-    ("n2n", "generation", "x"),
     ("n2n", "freeze_last_layer", "no"),
 ]
 
@@ -888,6 +941,45 @@ class TestMistypedConfig:
         err = capsys.readouterr().err
         assert "config error" in err and field.split(".")[-1] in err
         assert not (tmp_path / "o").exists()
+
+
+# (subcommand, dotted config path, its value, the start of the error)
+UNREAD = [
+    ("train", "epoch", 2, "unknown field: epoch"),
+    ("train", "netwrok", NET, "unknown field: netwrok"),
+    ("train", "weights", "w.tgdw", "unknown field: weights"),
+    ("train", "network.chanels", 4, "unknown field: network.chanels"),
+    ("n2n", "kse.alfa", 1.0, "unknown field: kse.alfa"),
+    ("n2n", "generation", 2, "unknown field: generation"),
+    ("tgd-finetune", "generation", 1, "unknown field: generation"),
+    ("tgd-finetune", "mode", "scratch", "field mode must be 'tgd_finetune'"),
+]
+
+
+class TestUnreadConfigKey:
+    @pytest.mark.parametrize(
+        "sub,field,value,message", UNREAD, ids=[f"{s}-{f}" for s, f, _, _ in UNREAD]
+    )
+    def test_is_config_error_naming_it_before_loading(
+        self, workspace, tmp_path, capsys, monkeypatch, sub, field, value, message
+    ):
+        # a misspelled key would otherwise leave its field at the default
+        def never(*args, **kwargs):
+            raise AssertionError("loaded inputs although the config has an unread key")
+
+        monkeypatch.setattr(cli, "load_dataset", never)
+        monkeypatch.setattr(cli, "load_study", never)
+        train = json.loads((workspace / "train.json").read_text())
+        cfg = {
+            "train": train,
+            "tgd-finetune": {**train, "weights": "w.tgdw", "phi": 0.5},
+            "n2n": json.loads(json.dumps(n2n_config(workspace))),
+        }[sub]
+        set_field(cfg, field, value)
+        (tmp_path / "c.json").write_text(json.dumps(cfg))
+        assert main([sub, str(tmp_path / "c.json"), "--out", str(tmp_path / "o")]) == 2
+        assert f"config error: {message}" in capsys.readouterr().err
+        assert [f.name for f in tmp_path.iterdir()] == ["c.json"]
 
 
 class TestSpellings:

@@ -75,7 +75,7 @@ class TestBuildMasks:
         doc = masks.to_dict()
         assert doc["threshold"] == 0.3
         assert doc["source"] == network_hash(net)
-        assert doc["generation"] == 1
+        assert sorted(doc) == ["bn_masks", "conv_masks", "source", "threshold"]
 
 
 def random_grads(net, rng):
@@ -257,8 +257,7 @@ class TestRemask:
     def test_unchanged_weights_give_identical_masks(self):
         net = toy_net(seed=8)
         first = build_masks(net, kse_scores(net), 0.4, last_layer_frozen=True)
-        again = build_masks(net, kse_scores(net), 0.4, True, first.generation + 1)
-        assert again.generation == first.generation + 1
+        again = build_masks(net, kse_scores(net), 0.4, last_layer_frozen=True)
         for a, b in zip(first.conv_masks, again.conv_masks):
             np.testing.assert_array_equal(a, b)
 
@@ -270,22 +269,13 @@ class TestRemask:
             b.conv.weights = b.conv.weights + rng.standard_normal(
                 b.conv.weights.shape
             ).astype(np.float32)
-        second = build_masks(net, kse_scores(net), 0.5, True, first.generation + 1)
+        second = build_masks(net, kse_scores(net), 0.5)
         diff = sum(
             int(np.sum(a != b)) for a, b in zip(first.conv_masks, second.conv_masks)
         )
         total = sum(m.size for m in first.conv_masks)
         assert 0 <= diff <= total
         assert second.source == network_hash(net)
-
-    def test_generation_strictly_increases(self):
-        net = toy_net(seed=11)
-        masks = build_masks(net, kse_scores(net), 0.3)
-        gens = [masks.generation]
-        for _ in range(3):
-            masks = build_masks(net, kse_scores(net), 0.3, True, masks.generation + 1)
-            gens.append(masks.generation)
-        assert gens == [1, 2, 3, 4]
 
 
 class TestMaskSetValidation:

@@ -133,13 +133,13 @@ class TestGaussianBlur:
 class TestSimulateScan:
     def test_zero_activity_gives_zero(self):
         proto = ScanProtocol(1.0, 1e6, seed=0)
-        out = simulate_scan(np.zeros((3, 8, 8), np.float32), proto)
+        out = simulate_scan(np.zeros((3, 8, 8), np.float32), proto, seed=proto.seed)
         assert not out.any()
 
     def test_high_count_limit_approaches_blurred_activity(self):
         truth = generate_phantom(body_spec())
         proto = ScanProtocol(1.5, 1e9, seed=1)
-        scan = simulate_scan(truth, proto)
+        scan = simulate_scan(truth, proto, seed=proto.seed)
         blurred = gaussian_filter(truth.astype(np.float64), (0, 1.5, 1.5))
         rel_rmse = np.sqrt(((scan - blurred) ** 2).mean()) / np.sqrt(
             (blurred**2).mean()
@@ -165,12 +165,13 @@ class TestSimulateScan:
         truth = generate_phantom(body_spec())
         proto = ScanProtocol(1.2, 1e5, seed=9)
         np.testing.assert_array_equal(
-            simulate_scan(truth, proto), simulate_scan(truth, proto)
+            simulate_scan(truth, proto, seed=proto.seed),
+            simulate_scan(truth, proto, seed=proto.seed),
         )
 
     def test_negative_activity_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):
-            simulate_scan(np.full((1, 4, 4), -1.0), ScanProtocol(1.0, 1e5))
+            simulate_scan(np.full((1, 4, 4), -1.0), ScanProtocol(1.0, 1e5), seed=0)
 
     @pytest.mark.parametrize(
         "sigma, budget", [(np.nan, 1e5), (np.inf, 1e5), (1.0, np.nan), (1.0, np.inf)]
@@ -239,7 +240,7 @@ class TestSplitScan:
     def test_halves_are_unbiased_and_noisier(self):
         truth = generate_phantom(body_spec())
         proto = ScanProtocol(1.0, 1e6, seed=4)
-        full, r1, r2 = split_scan(truth, proto)
+        full, r1, r2 = split_scan(truth, proto, seed=proto.seed)
         assert full.shape == r1.shape == r2.shape == truth.shape
         expected = gaussian_filter(truth.astype(np.float64), (0, 1.0, 1.0))
         body = expected > 0.05

@@ -366,6 +366,8 @@ class TestConfigValidation:
             TrainConfig(kse_threshold=-0.5)
         with pytest.raises(ValueError):
             TrainConfig(epochs=-1)
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            TrainConfig(seed=-1)
 
     @pytest.mark.parametrize("field", ["learning_rate", "weight_decay"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
