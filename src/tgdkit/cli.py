@@ -186,6 +186,22 @@ def given(cfg: dict, kinds: dict, section: str | None = None) -> dict:
     return {f: need(node, f, k, where=where) for f, k in kinds.items() if f in node}
 
 
+def check_known(node, schema, path: str = "") -> None:
+    """A ConfigError naming the first key of config ``node`` that ``schema``
+    does not list, as a dotted path. A schema maps each key to the kind of
+    its value (as in ``need``), to the schema of a section, or to a
+    one-item list holding the schema of each entry of a list. A value of
+    the wrong type is left to ``need``."""
+    if isinstance(schema, list) and isinstance(node, list):
+        for i, entry in enumerate(node):
+            check_known(entry, schema[0], f"{path}{i}.")
+    elif isinstance(schema, dict) and isinstance(node, dict):
+        for key, value in node.items():
+            if key not in schema:
+                raise ConfigError(f"unknown field: {path}{key}")
+            check_known(value, schema[key], f"{path}{key}.")
+
+
 TRAIN_FIELDS = {
     "epochs": int | None, "batch_size": int, "learning_rate": float | None,
     "weight_decay": float, "seed": int, "kse_threshold": float | None,
@@ -207,14 +223,11 @@ def _train_config(cfg: dict, args, mode: str) -> TrainConfig:
     sections = {s: given(cfg, kinds, s) for s, kinds in TRAIN_SECTIONS.items()}
     if cfg.get("mode", mode) != mode:
         raise ConfigError(f"field mode must be {mode!r} here, got {cfg['mode']!r}")
-    known = {"mode", "study" if mode == "n2n_online" else "dataset", *TRAIN_FIELDS,
-             *TRAIN_SECTIONS, *(("weights",) if mode != "scratch" else ())}
-    unknown = [k for k in cfg if k not in known] + [
-        f"{s}.{k}" for s, kinds in TRAIN_SECTIONS.items() for k in cfg.get(s, {})
-        if k not in kinds
-    ]
-    if unknown:
-        raise ConfigError(f"unknown field: {unknown[0]}")
+    known = {"mode": str, "study" if mode == "n2n_online" else "dataset": str,
+             **TRAIN_FIELDS, **TRAIN_SECTIONS}
+    if mode != "scratch":
+        known["weights"] = str
+    check_known(cfg, known)
     for spelling, field_name in SPELLINGS.items():
         if spelling in cfg and field_name in cfg:
             raise ConfigError(f"config sets both {spelling} and {field_name}")
@@ -255,10 +268,29 @@ def _is_number(text: str) -> bool:
 
 # ---------------------------------------------------------------- gen-data
 
+LESION_FIELDS = {"lesion_radius": float, "lesion_contrast": float}
+GEN_DATA_FIELDS = {
+    "seed": int,
+    "image": {"height": int, "width": int, "slices": int},
+    # the manifest echoes protocol.seed, which must be the top-level seed
+    "protocol": {"psf_sigma": float, "count_budget": float, "seed": int},
+    "phantoms": {"n_train": int, "n_val": int, "n_lesions": int, **LESION_FIELDS},
+    "count_levels": list[float],
+    "test_studies": [{
+        "name": str, "n_lesions": int, "count_levels": list[float],
+        "n_realizations": int, "n2n_split": bool,
+        "ood_lesion": {"center": list[float], "radius": float, "contrast": float},
+    }],
+}
+
 
 def cmd_gen_data(args) -> int:
     cfg = load_config(args.config)
+    check_known(cfg, GEN_DATA_FIELDS)
     seed = need(cfg, "seed", int)
+    protocol_seed = need(cfg, "protocol.seed", int, seed)
+    if protocol_seed != seed:
+        raise ConfigError(f"field protocol.seed must equal seed ({seed}), got {protocol_seed}")
     h = need(cfg, "image.height", int)
     w = need(cfg, "image.width", int)
     slices = need(cfg, "image.slices", int, 5)
@@ -289,8 +321,20 @@ def cmd_gen_data(args) -> int:
     if len(set(names)) < len(names):
         raise ConfigError(f"test study names are not unique: {names}")
 
+    # checked although no lesion may be drawn, which would check them
+    lesions = given(cfg, LESION_FIELDS, "phantoms")
+    if not lesions.get("lesion_radius", 1) > 0:
+        raise ConfigError(
+            "field phantoms.lesion_radius: lesion radius must be > 0, "
+            f"got {lesions['lesion_radius']}"
+        )
+    if not lesions.get("lesion_contrast", 0) >= 0:
+        raise ConfigError(
+            "field phantoms.lesion_contrast must be finite and >= 0, "
+            f"got {lesions['lesion_contrast']}"
+        )
+
     rng = np.random.default_rng(seed)
-    lesions = given(cfg, {"lesion_radius": float, "lesion_contrast": float}, "phantoms")
     n_lesions = given(cfg, {"n_lesions": int}, "phantoms")
     specs = [
         random_phantom_spec(rng, h, w, slices=slices, **lesions, **n_lesions)

@@ -189,14 +189,14 @@ def num_parameters(net: Network) -> int:
 class BlockCache:
     """What the backward pass reads of one block's train-mode forward.
 
-    Block 0 holds its input, the network input, and its conv output, its
-    ReLU input. A batchnorm block holds only its BnStats, whose centered
-    input is its one activation. The last block holds nothing. The
-    backward rebuilds every other block input from the block below.
+    Block 0 holds only its input, the network input. A batchnorm block
+    holds only its BnStats, whose centered input is its one activation.
+    The last block holds nothing. The backward rebuilds every other block
+    input from the block below: block 1's as ``relu(conv0(x))``, a
+    batchnorm block's output from its BnStats.
     """
 
     x: np.ndarray | None  # the network input at block 0, else None
-    conv_out: np.ndarray | None  # the ReLU input of a block without batchnorm
     bn_stats: BnStats | None
 
 
@@ -216,17 +216,15 @@ def _run(net: Network, x: np.ndarray, mode: str, want_cache: bool):
     for block in net.blocks:
         bn_stats = None  # the block below's, freed before the conv when not cached
         h = conv2d_forward(h, block.conv)
+        # batchnorm and ReLU write into the conv output's buffer
         if block.bn is not None:
-            # one name, so the input (held centered in bn_stats) is freed
-            h, bn_stats = batchnorm_forward(h, block.bn, mode)
+            h, bn_stats = batchnorm_forward(h, block.bn, mode, out=h)
         if want_cache:
-            held = None if caches else x  # only block 0 holds its input
-            relu_in = h if block.relu and block.bn is None else None
-            caches.append(BlockCache(held, relu_in, bn_stats))
+            caches.append(BlockCache(None if caches else x, bn_stats))
         if block.relu:
-            h = relu_forward(h)
-    y = h + x[:, center : center + 1]
-    return y, caches
+            relu_forward(h, out=h)
+    h += x[:, center : center + 1]
+    return h, caches
 
 
 def forward(net: Network, x: np.ndarray, mode: str = "infer") -> np.ndarray:
@@ -243,8 +241,8 @@ def forward(net: Network, x: np.ndarray, mode: str = "infer") -> np.ndarray:
 
 def forward_train(net: Network, x: np.ndarray) -> tuple[np.ndarray, list[BlockCache]]:
     """Train-mode forward that also returns the per-block caches
-    :func:`backward` needs (block 0's input and conv output, and every
-    batchnorm block's BnStats).
+    :func:`backward` needs (block 0's input and every batchnorm block's
+    BnStats).
     """
     _check_input(net, x)
     return _run(net, x, "train", want_cache=True)
@@ -261,11 +259,13 @@ def backward(net: Network, caches: list[BlockCache], grad_y: np.ndarray) -> list
 
     Every block input above block 0 is rebuilt, byte for byte, from the
     block below just before the block's grad-weights; then only its sign
-    mask is kept, until the ReLU backward of the block below has read it.
-    A batchnorm block is read only through its BnStats. The cached
-    activations stay until the caller drops the caches: freeing them
-    earlier lowers no peak, and made the allocator hand heap pages back
-    and fault them in again on every step.
+    mask is kept, until the ReLU backward of the block below has read it,
+    and the block's input gradient is written over the rebuilt input. The
+    batchnorm backward builds its input gradient in the buffer the ReLU
+    backward returned. A batchnorm block is read only through its BnStats.
+    The cached activations stay until the caller drops the caches: freeing
+    them earlier lowers no peak, and made the allocator hand heap pages
+    back and fault them in again on every step.
     """
     if len(caches) != len(net.blocks):
         raise ValueError("cache/block count mismatch; pass the caches of forward_train")
@@ -276,21 +276,22 @@ def backward(net: Network, caches: list[BlockCache], grad_y: np.ndarray) -> list
         if block.relu:
             g = relu_backward(positive, g)
             del positive  # freed before the batchnorm backward allocates
-        if block.bn is not None:
+        if block.bn is not None:  # after the ReLU backward, so g is ours
             g, grads[i, "bn.gamma"], grads[i, "bn.beta"] = batchnorm_backward(
-                block.bn, cache.bn_stats, g
+                block.bn, cache.bn_stats, g, out=g
             )
         if i == 0:
             x = cache.x
-        elif net.blocks[i - 1].bn is None:
-            x = relu_forward(caches[i - 1].conv_out)
+        elif i == 1:  # block 0 holds only its input
+            x = conv2d_forward(caches[0].x, net.blocks[0].conv)
+            relu_forward(x, out=x)
         else:
             x = batchnorm_relu_output(net.blocks[i - 1].bn, caches[i - 1].bn_stats)
         grads[i, "conv.weight"], grads[i, "conv.bias"] = conv2d_backward(x, block.conv, g)
         if i > 0:
             positive = x > 0
-            del x  # freed before the grad-input's output is allocated
-            g = conv2d_grad_input(block.conv, g)
+            g = conv2d_grad_input(block.conv, g, out=x)
+            del x  # g's one name, so the ReLU backward frees it
     return [grads[i, name] for i, name, _ in array_table(net.config, trained_only=True)]
 
 

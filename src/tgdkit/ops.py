@@ -1,10 +1,12 @@
 """Dense-tensor layer ops with hand-written forward and backward passes.
 
-Everything here is a pure function over numpy arrays: no op mutates its
-inputs, and identical inputs give bit-identical outputs. Arrays are NCHW,
-kernels are fixed at 3x3 with zero padding 1 so spatial size is preserved.
-Compute dtype follows the input dtype (float32 for training, float64 for
-gradient checks).
+Every op writes its result into a new buffer, or into the ``out=`` buffer
+the caller passes, and writes nothing else: an ``out`` that is one of the
+op's inputs (where the op allows that) is the only input it mutates, and
+the result's bytes are the same either way. Identical inputs give
+bit-identical outputs. Arrays are NCHW, kernels are fixed at 3x3 with zero
+padding 1 so spatial size is preserved. Compute dtype follows the input
+dtype (float32 for training, float64 for gradient checks).
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ from typing import ClassVar
 import numpy as np
 
 KERNEL_SIZE = 3
-PAD = 1
 
 
 @dataclass
@@ -80,6 +81,19 @@ class BnStats:
     centered: np.ndarray
 
 
+def _output(out: np.ndarray | None, shape: tuple, dtype) -> np.ndarray:
+    """``out``, checked to be a C-contiguous array of ``shape`` and ``dtype``,
+    or a new one when it is None: the buffer an op writes its result into."""
+    if out is None:
+        return np.empty(shape, dtype)
+    if out.shape != shape or out.dtype != dtype or not out.flags.c_contiguous:
+        raise ValueError(
+            f"out must be a C-contiguous {np.dtype(dtype)} array of shape {shape}, "
+            f"got {out.dtype} {out.shape}"
+        )
+    return out
+
+
 def _im2col(x: np.ndarray) -> Iterator[np.ndarray]:
     """Yield the [C*9, H*W] patch matrix of each sample of [B, C, H, W] x,
     for a padded 3x3 window. All samples share one buffer, so a yielded
@@ -87,54 +101,44 @@ def _im2col(x: np.ndarray) -> Iterator[np.ndarray]:
 
     Row c*9 + (i*3 + j) holds channel c shifted by kernel tap (i, j), so a
     GEMM against the [N, C*9] weight matrix computes the sample's output.
-    Each sample is written three times, shifted by column tap j, into the
-    zero-bordered rows of ``shifted[c, j]``; tap (i, j) of channel c is then
-    the contiguous run of H*W values from row i of ``shifted[c, j]``. A
-    strided view lays those runs out in row order, and one copy of it fills
-    the patch buffer.
+    Each channel of the sample is copied as one flat run of H*W values into
+    the middle of a zero-bordered run of H*W + 2(W+1); tap (i, j) of output
+    pixel p is then place p + i*W + j of that run. A strided view lays
+    those runs out in row order, and one copy of it fills the patch buffer.
 
-    A column shift of the sample's rows is its H*W values as one flat run
-    per channel, shifted by one place, so both side copies (j = 0 and 2)
-    are one strided copy of the sample; the one value per row that wraps
-    in from the neighbouring row is then zeroed again, in one strided write.
+    Rows above and below the sample read the zero border. A side tap reads
+    the neighbouring row's end value where it should read the padding, at
+    column 0 for j = 0 and column W-1 for j = 2; each of the two is zeroed
+    again in the patch buffer, in one strided write.
     """
     x = np.ascontiguousarray(x)
     _, c, h, w = x.shape
     k = KERNEL_SIZE
-    # shifted[c, j, PAD + y, x'] = x[c, y, x' + j - PAD], zero outside x
-    shifted = np.zeros((c, k, h + 2 * PAD, w), x.dtype)
-    s_c, s_j, s_h, s_w = shifted.strides
-    taps = np.ndarray((c, k, k, h * w), x.dtype, shifted, 0, (s_c, s_h, s_j, s_w))
-    centre = shifted[:, 1, PAD:-PAD]
-    # the rows of shifted[c, j] as one flat run: j = 0 from its second value
-    # on and j = 2 up to its last, filled from x[b, c] read flat from its
-    # first and from its second value
-    hw1 = h * w - 1
-    sides = np.ndarray(
-        (c, 2, hw1), x.dtype, shifted, PAD * s_h + s_w, (s_c, 2 * s_j - s_w, s_w)
-    )
-    x_b, x_c, _, x_w = x.strides
-    runs = np.ndarray((len(x), c, 2, hw1), x.dtype, x, 0, (x_b, x_c, x_w, x_w))
-    # shifted[c, 0, PAD + y, 0] and shifted[c, 2, PAD + y, w - 1], where a
-    # flat run wraps in the last value of the row above or the first below
-    wrapped = np.ndarray(
-        (c, 2, h), x.dtype, shifted, PAD * s_h, (s_c, 2 * s_j + (w - 1) * s_w, s_h)
-    )
-    cols = np.empty((c * k * k, h * w), x.dtype)
+    hw = h * w
+    # padded[c, w + 1 + p] = x[b, c] read flat at p, zero outside x
+    padded = np.zeros((c, hw + 2 * (w + 1)), x.dtype)
+    s_c, s = padded.strides
+    taps = np.ndarray((c, k, k, hw), x.dtype, padded, 0, (s_c, w * s, s, s))
+    centre = padded[:, w + 1 : w + 1 + hw]
+    cols = np.empty((c * k * k, hw), x.dtype)
     window = cols.reshape(taps.shape)
-    for sample, run in zip(x, runs):
-        centre[...] = sample
-        sides[...] = run
-        wrapped[...] = 0
+    pixels = cols.reshape(c, k, k, h, w)
+    for sample in x:
+        centre[...] = sample.reshape(c, hw)
         window[...] = taps
+        pixels[:, :, 0, :, 0] = 0
+        pixels[:, :, k - 1, :, w - 1] = 0
         yield cols
 
 
-def conv2d_forward(x: np.ndarray, params: ConvParams) -> np.ndarray:
+def conv2d_forward(
+    x: np.ndarray, params: ConvParams, out: np.ndarray | None = None
+) -> np.ndarray:
     """Cross-correlate [B, C, H, W] with params, zero padding 1, stride 1.
 
     Returns the [B, N, H, W] output, bias added per output channel when
-    present. Each sample's patch matrix is built while its GEMM runs.
+    present. Each sample's patch matrix is built while its GEMM runs, so
+    ``out`` must not overlap x.
     """
     if x.ndim != 4:
         raise ValueError(f"conv input must be [B, C, H, W], got shape {x.shape}")
@@ -145,13 +149,16 @@ def conv2d_forward(x: np.ndarray, params: ConvParams) -> np.ndarray:
         )
     b, _, h, w = x.shape
     n = params.out_channels
+    out = _output(out, (b, n, h, w), x.dtype)
+    if np.may_share_memory(out, x):
+        raise ValueError("conv output must not overlap its input")
     wmat = params.weights.reshape(n, -1).astype(x.dtype, copy=False)
-    y = np.empty((b, n, h * w), x.dtype)
+    y = out.reshape(b, n, h * w)
     for y_k, cols in zip(y, _im2col(x)):
         np.matmul(wmat, cols, out=y_k)
     if params.bias is not None:
         y += params.bias.astype(x.dtype, copy=False)[:, None]
-    return y.reshape(b, n, h, w)
+    return out
 
 
 def conv2d_backward(
@@ -183,20 +190,23 @@ def conv2d_backward(
     return grad_w, grad_b
 
 
-def conv2d_grad_input(params: ConvParams, grad_out: np.ndarray) -> np.ndarray:
+def conv2d_grad_input(
+    params: ConvParams, grad_out: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
     """Gradient of conv2d_forward wrt its input: the correlation of grad_out
     with the 180-degree-rotated kernels, output and input channel roles
     exchanged."""
     w_flip = np.ascontiguousarray(
         params.weights[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
     )
-    return conv2d_forward(grad_out, ConvParams(w_flip))
+    return conv2d_forward(grad_out, ConvParams(w_flip), out)
 
 
 def batchnorm_forward(
-    x: np.ndarray, params: BatchNormParams, mode: str = "train"
+    x: np.ndarray, params: BatchNormParams, mode: str = "train",
+    out: np.ndarray | None = None,
 ) -> tuple[np.ndarray, BnStats | None]:
-    """Normalize [B, C, H, W] per channel.
+    """Normalize [B, C, H, W] per channel; ``out`` may be x.
 
     Train mode uses biased batch statistics over (B, H, W) and returns them,
     with the centered input it builds on the way, as the BnStats the
@@ -211,16 +221,18 @@ def batchnorm_forward(
         raise ValueError(
             f"batchnorm input shape {x.shape} incompatible with C={params.channels}"
         )
+    m = x.shape[0] * x.shape[2] * x.shape[3]
+    if mode == "train" and m < 2:
+        raise ValueError("train mode needs >= 2 samples per channel")
+    out = _output(out, x.shape, x.dtype)
     if mode == "infer":
-        xc = x - params.running_mean.astype(x.dtype, copy=False)[None, :, None, None]
+        rm = params.running_mean.astype(x.dtype, copy=False)[None, :, None, None]
+        xc = np.subtract(x, rm, out=out)
         return _scale_shift(xc, params, params.running_var, out=xc), None
 
-    m = x.shape[0] * x.shape[2] * x.shape[3]
-    if m < 2:
-        raise ValueError("train mode needs >= 2 samples per channel")
     mean = x.mean(axis=(0, 2, 3))
     xc = x - mean[None, :, None, None]
-    y = np.multiply(xc, xc)
+    y = np.multiply(xc, xc, out=out)
     var = y.sum(axis=(0, 2, 3)) / m  # np.var's own steps, centering once
     # in the buffer that held xc * xc
     return _scale_shift(xc, params, var, out=y), BnStats(mean, var, xc)
@@ -251,10 +263,12 @@ def batchnorm_relu_output(params: BatchNormParams, stats: BnStats) -> np.ndarray
 
 
 def batchnorm_backward(
-    params: BatchNormParams, stats: BnStats, grad_out: np.ndarray
+    params: BatchNormParams, stats: BnStats, grad_out: np.ndarray,
+    out: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Exact gradients of the train-mode forward that returned ``stats``, whose
-    centered input it reads: (grad_input, grad_gamma, grad_beta)."""
+    centered input it reads: (grad_input, grad_gamma, grad_beta). The input
+    gradient is built in ``out``, which may be grad_out."""
     xc = stats.centered
     if grad_out.shape != xc.shape:
         raise ValueError(f"grad_out shape {grad_out.shape} != input shape {xc.shape}")
@@ -267,7 +281,8 @@ def batchnorm_backward(
     grad_gamma = prod.sum(axis=(0, 2, 3))
     grad_beta = grad_out.sum(axis=(0, 2, 3))
 
-    g_hat = np.multiply(grad_out, params.gamma.astype(dt, copy=False)[None, :, None, None])
+    gamma = params.gamma.astype(dt, copy=False)[None, :, None, None]
+    g_hat = np.multiply(grad_out, gamma, out=_output(out, xc.shape, dt))
     sum_g = g_hat.sum(axis=(0, 2, 3), keepdims=True)
     np.multiply(g_hat, x_hat, out=prod)
     sum_gx = prod.sum(axis=(0, 2, 3), keepdims=True)
@@ -279,9 +294,9 @@ def batchnorm_backward(
     return grad_x, grad_gamma, grad_beta
 
 
-def relu_forward(x: np.ndarray) -> np.ndarray:
-    """Elementwise max(0, x)."""
-    return np.maximum(x, 0)
+def relu_forward(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Elementwise max(0, x); ``out`` may be x."""
+    return np.maximum(x, 0, out=_output(out, x.shape, x.dtype))
 
 
 def relu_backward(positive: np.ndarray, grad_out: np.ndarray) -> np.ndarray:

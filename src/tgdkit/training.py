@@ -114,12 +114,13 @@ class TrainRecord:
 
 
 def mse_loss(pred: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
-    """Mean squared error and its gradient wrt pred."""
+    """Mean squared error and its gradient wrt pred, built in the buffer of
+    ``pred - target``."""
     if pred.shape != target.shape:
         raise ValueError(f"shape mismatch: {pred.shape} vs {target.shape}")
     diff = pred - target
     loss = float((diff.astype(np.float64) ** 2).mean())
-    grad = (2.0 / diff.size) * diff
+    grad = np.multiply(2.0 / diff.size, diff, out=diff)
     return loss, grad
 
 
@@ -150,6 +151,7 @@ def train_step(
     NonFiniteLossError before anything changes."""
     pred, caches = forward_train(net, xb)
     loss, grad_y = mse_loss(pred, yb)
+    del pred  # not held through the backward
     if not math.isfinite(loss):
         raise NonFiniteLossError(f"loss is {loss}: non-finite data or weights")
     for blk, cache, mask in zip(net.blocks, caches, opt.masks):

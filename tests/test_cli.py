@@ -982,6 +982,76 @@ class TestUnreadConfigKey:
         assert [f.name for f in tmp_path.iterdir()] == ["c.json"]
 
 
+# (dotted gen-data config path, its value)
+GEN_DATA_UNREAD = [
+    ("count_level", [0.5]),
+    ("image.slice", 7),
+    ("protocol.sigma", 1.0),
+    ("phantoms.n_lesion", 0),
+    ("test_studies.0.n2n", True),
+    ("test_studies.0.ood_lesion.radius_px", 2.0),
+]
+
+
+class TestGenDataConfigKeys:
+    @pytest.mark.parametrize("field,value", GEN_DATA_UNREAD, ids=[f for f, _ in GEN_DATA_UNREAD])
+    def test_unread_key_is_config_error_naming_it_before_any_work(
+        self, tmp_path, capsys, monkeypatch, field, value
+    ):
+        # a misspelled key would otherwise leave its field at the default
+        def never(*args, **kwargs):
+            raise AssertionError("drew a phantom although the config has an unread key")
+
+        monkeypatch.setattr(cli, "random_phantom_spec", never)
+        doc = json.loads(gen_config(tmp_path).read_text())
+        set_field(doc, field, value)
+        (tmp_path / "gen.json").write_text(json.dumps(doc))
+        assert main(["gen-data", str(tmp_path / "gen.json"), "--out", str(tmp_path / "o")]) == 2
+        assert f"config error: unknown field: {field}" in capsys.readouterr().err
+        assert [f.name for f in tmp_path.iterdir()] == ["gen.json"]
+
+    def test_protocol_seed_other_than_the_seed_is_config_error(self, tmp_path, capsys):
+        cfg = gen_config(tmp_path, protocol={"psf_sigma": 1.2, "count_budget": 5e4, "seed": 6})
+        assert main(["gen-data", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert "field protocol.seed must equal seed (5), got 6" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_manifest_config_reproduces_run(self, workspace, tmp_path):
+        manifest = json.loads((workspace / "data" / "manifest.json").read_text())
+        (tmp_path / "replay.json").write_text(json.dumps(manifest["config"]))
+        assert main(["gen-data", str(tmp_path / "replay.json"), "--out", str(tmp_path / "o")]) == 0
+        replay = json.loads((tmp_path / "o" / "manifest.json").read_text())
+        assert replay["config"] == manifest["config"]
+        assert replay["outputs"].keys() == manifest["outputs"].keys()
+        for key, entry in manifest["outputs"].items():
+            assert replay["outputs"][key]["sha256"] == entry["sha256"], key
+        volumes = sorted((workspace / "data").rglob("*.f32"))
+        assert volumes and all(
+            (tmp_path / "o" / v.relative_to(workspace / "data")).read_bytes() == v.read_bytes()
+            for v in volumes
+        )
+
+    @pytest.mark.parametrize(
+        "field,value,message",
+        [
+            ("lesion_radius", 0, "field phantoms.lesion_radius: lesion radius must be > 0"),
+            ("lesion_radius", -1.5, "field phantoms.lesion_radius: lesion radius must be > 0"),
+            ("lesion_contrast", -2, "field phantoms.lesion_contrast must be finite and >= 0"),
+        ],
+    )
+    def test_lesion_value_is_checked_when_no_lesion_is_drawn(
+        self, tmp_path, capsys, field, value, message
+    ):
+        cfg = gen_config(
+            tmp_path,
+            phantoms={"n_train": 1, "n_lesions": 0, field: value},
+            test_studies=[{"name": "probe", "n_lesions": 0}],
+        )
+        assert main(["gen-data", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert f"config error: {message}, got {value}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+
 class TestSpellings:
     @pytest.mark.parametrize("spelling,field,a,b", [
         ("phi", "kse_threshold", 0.3, 0.5),

@@ -254,8 +254,8 @@ class TestBackward:
     def test_bn_block_caches_hold_one_activation(self):
         # a batchnorm block holds its centered batchnorm input, which the
         # backward reads in place of the input, and no conv output; only
-        # block 0 holds its own input, the network input, and its conv
-        # output, from which the backward rebuilds block 1's input
+        # block 0 holds an array, its own input, the network input, from
+        # which the backward rebuilds block 1's input
         rng = np.random.default_rng(6)
         net = build_network(NetworkConfig(depth=5, channels=16), seed=3)
         x = rng.standard_normal((8, 3, 24, 24)).astype(np.float32)
@@ -265,23 +265,25 @@ class TestBackward:
                 f.name for f in dataclasses.fields(cache)
                 if isinstance(getattr(cache, f.name), np.ndarray)
             ]
-            assert held == (["x", "conv_out"] if i == 0 else []), i
-        assert caches[0].x is x and caches[0].conv_out.shape == (8, 16, 24, 24)
+            assert held == (["x"] if i == 0 else []), i
+        assert caches[0].x is x
         for cache in caches[1:-1]:
             assert cache.bn_stats.centered.shape == (8, 16, 24, 24)
 
     def test_blocks_without_batchnorm_cache_no_conv_output(self):
-        # block 0's conv output is its ReLU input; a batchnorm block's conv
-        # output is its batchnorm input, held centered in its BnStats; the
-        # last block's output is the prediction, which no backward step
-        # rebuilds, so it holds nothing
+        # block 0 holds only the network input, from which the backward
+        # rebuilds its ReLU output; a batchnorm block's conv output is its
+        # batchnorm input, held centered in its BnStats; the last block's
+        # output is the prediction, which no backward step rebuilds, so it
+        # holds nothing
         net = build_network(NetworkConfig(depth=5, channels=16), seed=3)
         x = np.random.default_rng(6).standard_normal((8, 3, 24, 24)).astype(np.float32)
         _, caches = forward_train(net, x)
-        assert [cache.conv_out is None for cache in caches] == [False] + [True] * 4
+        assert [f.name for f in dataclasses.fields(caches[0])] == ["x", "bn_stats"]
+        assert [cache.x is None for cache in caches] == [False] + [True] * 4
         assert [cache.bn_stats is None for cache in caches] == [True] + [False] * 3 + [True]
         last = caches[-1]
-        assert (last.x, last.conv_out, last.bn_stats) == (None, None, None)
+        assert (last.x, last.bn_stats) == (None, None)
 
     def test_forward_peaks_hold_no_batchnorm_input(self):
         # a 5x16 net at 64x64, batch 8, in activations of [8, 16, 64, 64]
@@ -390,9 +392,9 @@ class TestBackward:
         calls = []
         grad_input = model.conv2d_grad_input
 
-        def counted(params, grad_out):
+        def counted(params, grad_out, out=None):
             calls.append(params.in_channels)
-            return grad_input(params, grad_out)
+            return grad_input(params, grad_out, out)
 
         monkeypatch.setattr(model, "conv2d_grad_input", counted)
         net = build_network(NetworkConfig(depth=4, channels=5), seed=1)

@@ -11,6 +11,7 @@ from tgdkit.masking import commit_running_stats
 from tgdkit.ops import (
     BatchNormParams,
     ConvParams,
+    _im2col,
     batchnorm_backward,
     batchnorm_forward,
     batchnorm_relu_output,
@@ -150,30 +151,32 @@ class TestConvBackward:
             conv_grads(x, params, np.zeros((1, 2, 5, 4)))
 
 
+def padded_patches(a):
+    """[B, 9C, H*W] patch matrices of [B, C, H, W] a from an np.pad copy."""
+    b, c, h, w = a.shape
+    ap = np.pad(a, ((0, 0), (0, 0), (1, 1), (1, 1)))
+    cols = np.empty((b, c, 3, 3, h, w), a.dtype)
+    for i in range(3):
+        for j in range(3):
+            cols[:, :, i, j] = ap[:, :, i : i + h, j : j + w]
+    return cols.reshape(b, 9 * c, h * w)
+
+
 def batched_conv(x, params, g):
     """(y, grad_weights, grad_input) from one [B, 9C, HW] patch matrix for the
     whole batch, one batched GEMM per op; grad_weights is ``patches @ g.T``
     summed over the batch and transposed."""
 
-    def patches(a):
-        b, c, h, w = a.shape
-        ap = np.pad(a, ((0, 0), (0, 0), (1, 1), (1, 1)))
-        cols = np.empty((b, c, 3, 3, h, w), a.dtype)
-        for i in range(3):
-            for j in range(3):
-                cols[:, :, i, j] = ap[:, :, i : i + h, j : j + w]
-        return cols.reshape(b, 9 * c, h * w)
-
     def forward(a, weights, bias):
         wmat = weights.reshape(len(weights), -1).astype(a.dtype, copy=False)
-        y = np.matmul(wmat, patches(a))
+        y = np.matmul(wmat, padded_patches(a))
         if bias is not None:
             y += bias.astype(a.dtype, copy=False)[:, None]
         return y.reshape(a.shape[0], len(weights), *a.shape[2:])
 
     b, n, h, w = g.shape
     y = forward(x, params.weights, params.bias)
-    gw = np.matmul(patches(x), g.reshape(b, n, h * w).transpose(0, 2, 1)).sum(axis=0).T
+    gw = np.matmul(padded_patches(x), g.reshape(b, n, h * w).transpose(0, 2, 1)).sum(axis=0).T
     w_flip = np.ascontiguousarray(params.weights[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))
     return y, gw.reshape(params.weights.shape), forward(g, w_flip, None)
 
@@ -191,7 +194,7 @@ def assert_matches_batched_gemm(c, h, w, b, n, dtype):
 
 
 class TestConvWorkspace:
-    """The per-call scratch buffers: each conv call reuses its shifted-sample
+    """The per-call scratch buffers: each conv call reuses its padded-sample
     buffer and its patch buffer across its samples, so a stale value left by
     an earlier sample would show against a batched reference."""
 
@@ -551,3 +554,122 @@ class TestRelu:
 
         grad = relu_backward(x > 0, g)
         assert rel_err(grad, central_difference(loss, x)).max() < 1e-4
+
+
+class TestPatchMatrix:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize(
+        "h,w", [(1, 1), (1, 2), (1, 13), (11, 1), (11, 2), (2, 1), (11, 13)]
+    )
+    def test_matches_padded_copy_bitwise(self, h, w, dtype):
+        # one row (H = 1) has its vertical taps all in the zero border; at
+        # W = 1 both side taps are all wrapped, at W = 2 every other one.
+        # Entries of +-0 and NaN show a zero left out or a sign lost
+        x = np.random.default_rng(h * w).standard_normal((3, 4, h, w)).astype(dtype)
+        x.flat[::5] = -0.0
+        x.flat[1::7] = np.nan
+        want = padded_patches(x)
+        for k, cols in enumerate(_im2col(x)):
+            assert cols.tobytes() == want[k].tobytes(), k
+
+
+def bn_case(dtype, shape=(3, 5, 11, 13)):
+    rng = np.random.default_rng(31)
+    c = shape[1]
+    x = (2.0 * rng.standard_normal(shape) + 0.5).astype(dtype)
+    params = BatchNormParams(
+        gamma=rng.standard_normal(c).astype(dtype),
+        beta=rng.standard_normal(c).astype(dtype),
+        running_mean=rng.standard_normal(c).astype(dtype),
+        running_var=rng.uniform(0.1, 3.0, c).astype(dtype),
+    )
+    return rng, x, params
+
+
+def outputs(result):
+    """The bytes of an op's result, a tuple of arrays, or BnStats and None."""
+    if result is None:
+        return [None]
+    if isinstance(result, np.ndarray):
+        return [result.tobytes()]
+    if isinstance(result, tuple):
+        return [b for r in result for b in outputs(r)]
+    return outputs((result.mean, result.var, result.centered))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+class TestOutBuffers:
+    """An op given ``out=`` writes its result there and returns it, with the
+    bytes of the call without it; where the op allows, ``out`` may be the
+    input it replaces."""
+
+    @staticmethod
+    def assert_writes_into(op, args, like, aliased=None):
+        want = outputs(op(*args))
+        out = np.full_like(like, np.nan)
+        have = op(*args, out=out)
+        first = have[0] if isinstance(have, tuple) else have
+        assert first is out and outputs(have) == want
+        if aliased is not None:  # args[aliased] is the out buffer
+            args = list(args)
+            args[aliased] = buf = args[aliased].copy()
+            have = op(*args, out=buf)
+            first = have[0] if isinstance(have, tuple) else have
+            assert first is buf and outputs(have) == want
+
+    def test_conv2d_forward(self, dtype):
+        rng = np.random.default_rng(32)
+        x = rng.standard_normal((3, 5, 11, 13)).astype(dtype)
+        params = rand_conv(rng, 4, 5, dtype=dtype)
+        self.assert_writes_into(conv2d_forward, (x, params), np.empty((3, 4, 11, 13), dtype))
+
+    def test_conv2d_grad_input(self, dtype):
+        rng = np.random.default_rng(33)
+        g = rng.standard_normal((3, 4, 11, 13)).astype(dtype)
+        params = rand_conv(rng, 4, 5, dtype=dtype)
+        self.assert_writes_into(
+            conv2d_grad_input, (params, g), np.empty((3, 5, 11, 13), dtype)
+        )
+
+    @pytest.mark.parametrize("mode", ["train", "infer"])
+    def test_batchnorm_forward(self, dtype, mode):
+        _, x, params = bn_case(dtype)
+        self.assert_writes_into(
+            lambda x, out=None: batchnorm_forward(x, params, mode, out=out), (x,), x, 0
+        )
+
+    def test_batchnorm_backward(self, dtype):
+        rng, x, params = bn_case(dtype)
+        _, stats = batchnorm_forward(x, params, "train")
+        g = rng.standard_normal(x.shape).astype(dtype)
+        self.assert_writes_into(batchnorm_backward, (params, stats, g), x, 2)
+
+    def test_relu_forward(self, dtype):
+        x = np.random.default_rng(34).standard_normal((3, 5, 11, 13)).astype(dtype)
+        x.flat[::3] = -0.0
+        self.assert_writes_into(relu_forward, (x,), x, 0)
+
+    def test_conv2d_forward_rejects_an_out_over_its_input(self, dtype):
+        # the whole input, or a run of memory that shares part of it
+        rng = np.random.default_rng(35)
+        run = rng.standard_normal(2 * 4 * 5 * 6 + 7).astype(dtype)
+        x, shifted = run[:-7].reshape(2, 4, 5, 6), run[7:].reshape(2, 4, 5, 6)
+        params = rand_conv(rng, 4, 4, dtype=dtype)
+        before = run.tobytes()
+        for out in (x, shifted):
+            with pytest.raises(ValueError, match="overlap"):
+                conv2d_forward(x, params, out=out)
+        assert run.tobytes() == before
+
+    @pytest.mark.parametrize("bad", ["shape", "dtype", "strides"])
+    def test_an_out_of_another_layout_is_rejected(self, dtype, bad):
+        x = np.random.default_rng(36).standard_normal((2, 4, 5, 6)).astype(dtype)
+        out = {
+            "shape": np.empty((2, 4, 5, 7), dtype),
+            "dtype": np.empty(x.shape, np.float16),
+            "strides": np.empty((2, 4, 5, 12), dtype)[..., ::2],
+        }[bad]
+        with pytest.raises(ValueError, match="out must be"):
+            relu_forward(x, out=out)
+        with pytest.raises(ValueError, match="out must be"):
+            conv2d_forward(x, rand_conv(np.random.default_rng(0), 4, 4, dtype=dtype), out=out)
