@@ -24,11 +24,12 @@ directory replaced by a fixed name. The gen-data configs set every optional
 key in one run and none in the other, including a test study that sets
 none of its own keys and a ``phantoms.n_lesions`` it must not inherit.
 It also pins two train steps (predictions, loss, gradients), the trained
-network and an infer pass at the shape of an N2N run on a full slice: a
-6x16 net on 128x128 slices, batch 8, and, at an odd spatial shape (11x13)
-where a BLAS kernel's column tail can round differently, the three conv ops
-and one forward and backward of a 5x5 net and of a 3x5 net, whose one
-batchnorm block sits on the batchnorm-less block 0, in float32 and float64.
+network and an infer pass at the shape of an N2N run on a full slice (a
+6x16 net on 128x128 slices, batch 8) and of the default 8x64 net, masked,
+at 64x64, batch 8; and, at an odd spatial shape (11x13) where a BLAS
+kernel's column tail can round differently, the three conv ops and one
+forward and backward of a 5x5 net and of a 3x5 net, whose one batchnorm
+block sits on the batchnorm-less block 0, in float32 and float64.
 """
 
 from __future__ import annotations
@@ -60,6 +61,7 @@ from tgdkit.training import (
 
 NET = NetworkConfig(depth=5, channels=16, input_slices=3)
 FULL_SLICE_NET = NetworkConfig(depth=6, channels=16, input_slices=3)
+DEFAULT_NET = NetworkConfig()  # 8x64
 ODD_NET = NetworkConfig(depth=5, channels=5, input_slices=3)
 MIN_NET = NetworkConfig(depth=3, channels=5, input_slices=3)  # one batchnorm block
 CLI_NET = {"depth": 4, "channels": 8, "input_slices": 3}
@@ -138,6 +140,31 @@ def full_slice_steps() -> dict:
         out[f"{key}/grads"] = sha(b"".join(g.tobytes() for g in grads))
     out["full_slice/network_hash"] = network_hash(net)
     out["full_slice/infer"] = sha(denoise_volume(net, a).tobytes())
+    return out
+
+
+def default_net_steps() -> dict:
+    """Two KSE-masked Adam steps (phi = 0.5, last layer frozen) and an
+    infer pass of the default 8x64 net at 64x64, batch 8: the 64-channel
+    convs, whose patch matrices are too large for one L2-sized band."""
+    rng = np.random.default_rng(17)
+    study = make_study(
+        random_phantom_spec(rng, 64, 64, slices=4), ScanProtocol(1.5, 2e5, seed=8),
+        n2n_split=True,
+    )
+    a, b = study.realizations["n2n"]
+    x, y = pairs_to_arrays([(a, b), (b, a)], DEFAULT_NET.input_slices)
+    net = build_network(DEFAULT_NET, seed=3)
+    masks = build_masks(net, kse_scores(net), 0.5)
+    opt = MaskedAdam(net, masks.conv_masks, lr=1e-3)
+    out = {}
+    for step in range(2):
+        key = f"default_net/step={step}"
+        out[f"{key}/pred"] = sha(forward(net, x, "train").tobytes())
+        out[f"{key}/loss"], grads = train_step(net, opt, x, y)
+        out[f"{key}/grads"] = sha(b"".join(g.tobytes() for g in grads))
+    out["default_net/network_hash"] = network_hash(net)
+    out["default_net/infer"] = sha(denoise_volume(net, a).tobytes())
     return out
 
 
@@ -272,6 +299,7 @@ def hashes() -> dict:
     """Every pinned output, keyed by what it is."""
     result = protocols()
     result.update(full_slice_steps())
+    result.update(default_net_steps())
     result.update(odd_shape_convs())
     result.update(odd_shape_step(ODD_NET, "odd_shape_step"))
     result.update(odd_shape_step(MIN_NET, "min_depth_step"))
