@@ -94,41 +94,81 @@ def _output(out: np.ndarray | None, shape: tuple, dtype) -> np.ndarray:
     return out
 
 
-def _im2col(x: np.ndarray) -> Iterator[np.ndarray]:
-    """Yield the [C*9, H*W] patch matrix of each sample of [B, C, H, W] x,
-    for a padded 3x3 window. All samples share one buffer, so a yielded
-    matrix is valid until the next one is requested.
+# A conv's patch band is kept to about half of a core's 2 MiB L2, so that
+# _im2col's writes and the GEMM's reads of it stay in that cache.
+BAND_BYTES = 1 << 20
+
+
+def _band_rows(c: int, n: int, h: int, w: int, itemsize: int) -> int:
+    """Image rows per patch band of a C -> N conv on H x W images: H (one
+    band, the whole image) unless bands of whole rows, each at most
+    BAND_BYTES, give every band's GEMM the OpenBLAS kernel of the whole
+    image's GEMM, and so its bytes. That holds only where
+
+    - W % 16 == 0, so every band is a whole number of the kernel's column
+      blocks and none runs a tail kernel;
+    - N >= 16;
+    - every band, the shortest included, has L * N * 9C > 10**6 for its L
+      pixels, which keeps it out of the small-matrix kernel.
+
+    ``tools/bands.py`` sweeps this rule against the one-band conv.
+    """
+    depth = c * KERNEL_SIZE * KERNEL_SIZE
+    rows = max(1, BAND_BYTES // (depth * w * itemsize))
+    bands = -(-h // rows)
+    if bands == 1 or w % 16 or n < 16 or (h // bands) * w * n * depth <= 10**6:
+        return h
+    return -(-h // bands)
+
+
+def _im2col(
+    x: np.ndarray, rows: int | None = None
+) -> Iterator[tuple[int, slice, np.ndarray]]:
+    """Yield ``(sample, pixels, band)`` for each band of each sample of
+    [B, C, H, W] x: ``band`` is the [C*9, r*W] patch matrix, for a padded
+    3x3 window, of the r whole image rows whose flat pixel indices are the
+    slice ``pixels``. A sample is cut into bands of at most ``rows`` rows
+    (None: the whole image, one band), whose heights differ by at most one.
+    All bands share one buffer, so a yielded band is valid until the next
+    one is requested.
 
     Row c*9 + (i*3 + j) holds channel c shifted by kernel tap (i, j), so a
-    GEMM against the [N, C*9] weight matrix computes the sample's output.
-    Each channel of the sample is copied as one flat run of H*W values into
-    the middle of a zero-bordered run of H*W + 2(W+1); tap (i, j) of output
-    pixel p is then place p + i*W + j of that run. A strided view lays
-    those runs out in row order, and one copy of it fills the patch buffer.
+    GEMM against the [N, C*9] weight matrix computes the band's output
+    pixels. Each channel of the sample is copied as one flat run of H*W
+    values into the middle of a zero-bordered run of H*W + 2(W+1); tap
+    (i, j) of output pixel p is then place p + i*W + j of that run. A
+    strided view lays those runs out in row order, and one copy of its
+    band's columns fills the band buffer.
 
     Rows above and below the sample read the zero border. A side tap reads
     the neighbouring row's end value where it should read the padding, at
     column 0 for j = 0 and column W-1 for j = 2; each of the two is zeroed
-    again in the patch buffer, in one strided write.
+    again in the band buffer, in one strided write.
     """
     x = np.ascontiguousarray(x)
     _, c, h, w = x.shape
     k = KERNEL_SIZE
     hw = h * w
+    bands = -(-h // (rows or h))
     # padded[c, w + 1 + p] = x[b, c] read flat at p, zero outside x
     padded = np.zeros((c, hw + 2 * (w + 1)), x.dtype)
     s_c, s = padded.strides
-    taps = np.ndarray((c, k, k, hw), x.dtype, padded, 0, (s_c, w * s, s, s))
+    taps = np.ndarray((c, k, k, h, w), x.dtype, padded, 0, (s_c, w * s, s, w * s, s))
     centre = padded[:, w + 1 : w + 1 + hw]
-    cols = np.empty((c * k * k, hw), x.dtype)
-    window = cols.reshape(taps.shape)
-    pixels = cols.reshape(c, k, k, h, w)
-    for sample in x:
+    buf = np.empty(c * k * k * -(-h // bands) * w, x.dtype)
+    views = []  # (a band's pixels, its taps, its [C, 3, 3, r, W] buffer, its matrix)
+    for i in range(bands):
+        r0, r1 = i * h // bands, (i + 1) * h // bands
+        block = buf[: c * k * k * (r1 - r0) * w].reshape(c, k, k, r1 - r0, w)
+        views.append((slice(r0 * w, r1 * w), taps[:, :, :, r0:r1], block,
+                      block.reshape(c * k * k, -1)))
+    for b, sample in enumerate(x):
         centre[...] = sample.reshape(c, hw)
-        window[...] = taps
-        pixels[:, :, 0, :, 0] = 0
-        pixels[:, :, k - 1, :, w - 1] = 0
-        yield cols
+        for pixels, band_taps, block, band in views:
+            block[...] = band_taps
+            block[:, :, 0, :, 0] = 0
+            block[:, :, k - 1, :, w - 1] = 0
+            yield b, pixels, band
 
 
 def conv2d_forward(
@@ -137,8 +177,14 @@ def conv2d_forward(
     """Cross-correlate [B, C, H, W] with params, zero padding 1, stride 1.
 
     Returns the [B, N, H, W] output, bias added per output channel when
-    present. Each sample's patch matrix is built while its GEMM runs, so
-    ``out`` must not overlap x.
+    present. Each sample's patch matrix is built and multiplied one band of
+    whole image rows at a time (``_band_rows``), each band's GEMM writing
+    its own columns of the output. A band of a large image stays in L2; its
+    whole patch matrix (9.0 MiB at 16 channels and 128x128) would be
+    written and read back through L3. Bands are cut only where they take
+    none of OpenBLAS's column-tail or small-matrix kernels, which would
+    round otherwise; smaller images run as one band. ``out`` must not
+    overlap x.
     """
     if x.ndim != 4:
         raise ValueError(f"conv input must be [B, C, H, W], got shape {x.shape}")
@@ -147,15 +193,15 @@ def conv2d_forward(
             f"conv input has {x.shape[1]} channels, weights expect "
             f"{params.in_channels}"
         )
-    b, _, h, w = x.shape
+    b, c, h, w = x.shape
     n = params.out_channels
     out = _output(out, (b, n, h, w), x.dtype)
     if np.may_share_memory(out, x):
         raise ValueError("conv output must not overlap its input")
     wmat = params.weights.reshape(n, -1).astype(x.dtype, copy=False)
     y = out.reshape(b, n, h * w)
-    for y_k, cols in zip(y, _im2col(x)):
-        np.matmul(wmat, cols, out=y_k)
+    for k, pixels, band in _im2col(x, _band_rows(c, n, h, w, x.dtype.itemsize)):
+        np.matmul(wmat, band, out=y[k, :, pixels])
     if params.bias is not None:
         y += params.bias.astype(x.dtype, copy=False)[:, None]
     return out
@@ -169,7 +215,9 @@ def conv2d_backward(
     as ``cols @ g.T`` ([9C, N]), and the batch sum transposed once. OpenBLAS
     runs that orientation faster than ``g @ cols.T`` at the training shapes
     (at 16 channels, 24x24, float32, about 47 against 80 us per sample on
-    one AVX-512 thread, OpenBLAS 0.3.31).
+    one AVX-512 thread, OpenBLAS 0.3.31). The patch matrix is one band, the
+    whole image: this GEMM sums over the pixels, so bands would split that
+    sum and change its bytes.
 
     grad_bias is None when the layer has no bias. The input gradient is
     :func:`conv2d_grad_input`, which needs no x.
@@ -183,7 +231,7 @@ def conv2d_backward(
         )
     gmat = grad_out.reshape(b, n, h * w)
     per = np.empty((b, c * KERNEL_SIZE * KERNEL_SIZE, n), np.result_type(gmat, x))
-    for per_k, g_k, cols in zip(per, gmat, _im2col(x)):
+    for per_k, g_k, (_, _, cols) in zip(per, gmat, _im2col(x)):
         np.matmul(cols, g_k.T, out=per_k)
     grad_w = per.sum(axis=0).T.reshape(n, c, KERNEL_SIZE, KERNEL_SIZE)
     grad_b = grad_out.sum(axis=(0, 2, 3)) if params.bias is not None else None

@@ -7,10 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tgdkit import ops
 from tgdkit.masking import commit_running_stats
+from tgdkit.model import NetworkConfig, backward, build_network, forward, forward_train
 from tgdkit.ops import (
     BatchNormParams,
     ConvParams,
+    _band_rows,
     _im2col,
     batchnorm_backward,
     batchnorm_forward,
@@ -557,20 +560,79 @@ class TestRelu:
 
 
 class TestPatchMatrix:
+    @pytest.mark.parametrize("rows", [None, 1, 2, 4])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize(
         "h,w", [(1, 1), (1, 2), (1, 13), (11, 1), (11, 2), (2, 1), (11, 13)]
     )
-    def test_matches_padded_copy_bitwise(self, h, w, dtype):
+    def test_matches_padded_copy_bitwise(self, h, w, dtype, rows):
         # one row (H = 1) has its vertical taps all in the zero border; at
         # W = 1 both side taps are all wrapped, at W = 2 every other one.
-        # Entries of +-0 and NaN show a zero left out or a sign lost
+        # Entries of +-0 and NaN show a zero left out or a sign lost. Each
+        # band is its columns of the sample's whole patch matrix
         x = np.random.default_rng(h * w).standard_normal((3, 4, h, w)).astype(dtype)
         x.flat[::5] = -0.0
         x.flat[1::7] = np.nan
         want = padded_patches(x)
-        for k, cols in enumerate(_im2col(x)):
-            assert cols.tobytes() == want[k].tobytes(), k
+        bands = []
+        for k, pixels, band in _im2col(x, rows):
+            assert band.tobytes() == want[k][:, pixels].tobytes(), (k, pixels)
+            assert pixels.start % w == 0 and band.shape[1] == pixels.stop - pixels.start
+            bands.append((k, pixels.start, band.shape[1] // w))
+        # the bands tile each sample in order, in whole rows, at most
+        # ``rows`` of them, with heights that differ by at most one
+        for k in range(len(x)):
+            starts = [p0 for kk, p0, _ in bands if kk == k]
+            heights = [r for kk, _, r in bands if kk == k]
+            assert starts == [w * r0 for r0 in np.cumsum([0] + heights[:-1])]
+            assert sum(heights) == h and max(heights) - min(heights) <= 1
+            assert max(heights) <= (rows or h)
+        assert [k for k, _, _ in bands] == sorted(k for k, _, _ in bands)
+
+
+class TestRowBands:
+    """Where conv2d_forward cuts a patch matrix into row bands.
+    ``tests/test_parity.py`` checks that every band the rule cuts gives the
+    whole image's bytes."""
+
+    def test_online_shapes_are_banded(self):
+        # 16 channels at 128x128 (the N2N step and the infer pass on a full
+        # slice) and 64 channels at 64x64 (the default net) run in bands;
+        # a small image, a width off the 16-column kernel blocks and an
+        # output of fewer than 16 channels run whole
+        assert _band_rows(16, 16, 128, 128, 4) < 128
+        assert _band_rows(64, 64, 64, 64, 4) < 64
+        assert _band_rows(16, 16, 24, 24, 4) == 24
+        assert _band_rows(16, 16, 100, 100, 4) == 100
+        assert _band_rows(16, 1, 128, 128, 4) == 128
+
+    def test_acceptance_networks_run_as_one_band(self, monkeypatch):
+        # each network of tests/test_acceptance.py at the size it runs at,
+        # and criterion 02's largest float64 op shape: none of their convs is
+        # banded, so the criteria run the one-band conv they always ran
+        seen = []
+
+        def spy(x, rows=None):
+            seen.append((x.shape, rows))
+            return im2col(x, rows)
+
+        im2col = ops._im2col
+        monkeypatch.setattr(ops, "_im2col", spy)
+        nets = [
+            (NetworkConfig(depth=5, channels=16), 24),  # criteria 05-07, train-small
+            (NetworkConfig(depth=4, channels=8), 16),  # criteria 01, 03
+            (NetworkConfig(depth=3, channels=4), 16),  # criterion 10
+        ]
+        rng = np.random.default_rng(0)
+        for config, size in nets:
+            net = build_network(config, seed=0)
+            x = rng.standard_normal((8, config.input_slices, size, size)).astype(np.float32)
+            y, caches = forward_train(net, x)
+            backward(net, caches, np.ones_like(y))
+            forward(net, x, "infer")
+        x = rng.standard_normal((3, 3, 5, 5))
+        conv_grads(x, rand_conv(rng, 3, 3), np.ones((3, 3, 5, 5)))
+        assert seen and all(rows in (None, shape[2]) for shape, rows in seen), seen
 
 
 def bn_case(dtype, shape=(3, 5, 11, 13)):
