@@ -574,20 +574,17 @@ class TestPatchMatrix:
         x.flat[::5] = -0.0
         x.flat[1::7] = np.nan
         want = padded_patches(x)
-        bands = []
+        got, heights = [[] for _ in x], []
         for k, pixels, band in _im2col(x, rows):
             assert band.tobytes() == want[k][:, pixels].tobytes(), (k, pixels)
-            assert pixels.start % w == 0 and band.shape[1] == pixels.stop - pixels.start
-            bands.append((k, pixels.start, band.shape[1] // w))
-        # the bands tile each sample in order, in whole rows, at most
-        # ``rows`` of them, with heights that differ by at most one
-        for k in range(len(x)):
-            starts = [p0 for kk, p0, _ in bands if kk == k]
-            heights = [r for kk, _, r in bands if kk == k]
-            assert starts == [w * r0 for r0 in np.cumsum([0] + heights[:-1])]
-            assert sum(heights) == h and max(heights) - min(heights) <= 1
-            assert max(heights) <= (rows or h)
-        assert [k for k, _, _ in bands] == sorted(k for k, _, _ in bands)
+            assert band.shape[1] % w == 0
+            got[k].append(band.copy())
+            heights.append(band.shape[1] // w)
+        # a sample's bands, in order, are its whole patch matrix, in whole
+        # rows, at most ``rows`` of them, with heights that differ by one at most
+        for k, bands in enumerate(got):
+            assert np.concatenate(bands, axis=1).tobytes() == want[k].tobytes(), k
+        assert max(heights) <= (rows or h) and max(heights) - min(heights) <= 1
 
 
 class TestRowBands:

@@ -11,9 +11,9 @@ banded output differs from the one-band conv's:
     PYTHONPATH=src:tools python tools/bands.py
 
 Configs the rule leaves as one band run the one-band path itself and are
-not computed. ``tests/test_ops.py`` runs the sweep at 1 and at the default
-BLAS thread count, one process each, since OpenBLAS reads the count at
-import.
+not computed. ``tests/test_parity.py`` runs the sweep at 1 and at the
+default BLAS thread count, one process each, since OpenBLAS reads the count
+at import.
 """
 
 from __future__ import annotations
