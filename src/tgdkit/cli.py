@@ -9,28 +9,27 @@ computes all of its outputs and checks its output paths before it creates
 the output directory, so a run that fails in either leaves nothing behind.
 An error raised while the files are written (an output path that is a
 dangling symlink, say) can leave the outputs written before it and no
-manifest, which is written last. The manifest's ``config`` holds the
-resolved config (gen-data echoes ``phantoms`` and ``test_studies`` as given,
-so their code defaults apply), or for the commands without a config file
-their arguments, so a run can be reproduced byte for byte from the manifest
-alone. The manifest hashes the file each input and output entry names; for a
-dataset or a study that is its JSON sidecar only, not the volumes. Every
-JSON file written is strict JSON.
+manifest, which is written last. Every config file is read by
+``read_config`` into its dataclass, and the manifest's ``config`` holds that
+dataclass with every field, defaults included (or for the commands without
+a config file their arguments), so a run can be reproduced byte for byte
+from the manifest alone. The manifest hashes the file each input and output
+entry names; for a dataset or a study that is its JSON sidecar only, not
+the volumes. Every JSON file written is strict JSON.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
-import math
 import os
 import sys
 import time
 from collections.abc import Callable
-from dataclasses import asdict, replace
+from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass, replace
 from functools import partial
 from pathlib import Path
-from typing import get_args
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -56,8 +55,15 @@ from .model import (
 )
 from .phantom import (
     DATASET_COUNT_LEVELS,
+    LESION_CONTRAST,
+    LESION_RADIUS,
+    N_LESIONS,
+    N_REALIZATIONS,
+    SLICES,
+    STUDY_COUNT_LEVELS,
     DataFileError,
     Lesion,
+    PhantomSpec,
     ScanProtocol,
     background_voxels,
     build_dataset,
@@ -65,6 +71,7 @@ from .phantom import (
     is_bare_name,
     json_text,
     lesion_voxels,
+    level_keys,
     load_dataset,
     load_study,
     make_study,
@@ -99,24 +106,60 @@ def load_config(path) -> dict:
         raise ConfigError(str(e)) from e
 
 
-_REQUIRED = object()
+def read_config(doc, cls, path: str = ""):
+    """The config dataclass ``cls`` read from ``doc``, the JSON object at
+    dotted ``path`` in a config file. A field reads the key of its name or
+    of the ``spelling`` in its metadata, not both. A section dataclass
+    recurses (an absent one reads as ``{}``), ``X | None`` reads null, a
+    tuple a JSON list, and a leaf a JSON value of its kind (see
+    ``has_kind``); an int read for a float becomes a float. Every error is
+    a ConfigError naming the dotted path; ``cls``'s checks begin each
+    message with the field it rejects, which the error turns into a path."""
+    if type(doc) is not dict:
+        raise ConfigError(f"field {path} must be an object, got {doc!r}")
+    prefix = f"{path}." if path else ""
+    keys = {key for f in fields(cls) for key in (f.name, f.metadata.get("spelling")) if key}
+    for key in doc:
+        if key not in keys:
+            raise ConfigError(f"unknown field: {prefix}{key}")
+    hints = get_type_hints(cls)
+    kw, used = {}, {}
+    for f in fields(cls):
+        spelled = [key for key in (f.name, f.metadata.get("spelling")) if key in doc]
+        if len(spelled) > 1:
+            raise ConfigError(f"field {prefix}{f.name} is set twice, also as {prefix}{spelled[1]}")
+        kind = hints[f.name]
+        if spelled:
+            used[f.name] = spelled[0]
+            kw[f.name] = _read(doc[spelled[0]], kind, prefix + spelled[0])
+        elif is_dataclass(kind):
+            kw[f.name] = read_config({}, kind, prefix + f.name)
+        elif f.default is MISSING and f.default_factory is MISSING:
+            raise ConfigError(f"missing field: {prefix}{f.name}")
+    try:
+        return cls(**kw)
+    except ValueError as e:
+        name, _, rest = str(e).partition(" ")
+        raise ConfigError(f"field {prefix}{used.get(name, name)} {rest}") from e
 
 
-def need(cfg: dict, field: str, kind, default=_REQUIRED, where: str = "config"):
-    """The value at dotted path ``field``, which must be a JSON value of
-    ``kind`` (see ``has_kind``); if unset, ``default``, else a ConfigError
-    naming the field."""
-    node = cfg
-    for part in field.split("."):
-        if not isinstance(node, dict) or part not in node:
-            if default is _REQUIRED:
-                raise ConfigError(f"missing field: {field} (in {where})")
-            return default
-        node = node[part]
-    if not has_kind(node, kind):
-        name = str(kind) if get_args(kind) else kind.__name__
-        raise ConfigError(f"field {field} must be {name}, got {node!r} (in {where})")
-    return node
+def _read(value, kind, path: str):
+    """The value of the config field at dotted ``path``, of type ``kind``,
+    read from JSON ``value`` as ``read_config`` describes."""
+    args = get_args(kind)
+    if value is None and type(None) in args:
+        return None
+    if get_origin(kind) is tuple:  # tuple[X, ...], or of a fixed size as tuple[X, X]
+        size = "" if args[-1] is Ellipsis else f" of {len(args)}"
+        if type(value) is not list or size and len(value) != len(args):
+            raise ConfigError(f"field {path} must be a list{size}, got {value!r}")
+        return tuple(_read(item, args[0], f"{path}.{i}") for i, item in enumerate(value))
+    section = next(filter(is_dataclass, (kind, *args)), None)
+    if section is not None:
+        return read_config(value, section, path)
+    if not has_kind(value, kind):
+        raise ConfigError(f"field {path} must be {kind if args else kind.__name__}, got {value!r}")
+    return float(value) if type(value) is int and float in (kind, *args) else value
 
 
 def _config_hash(doc: dict) -> str:
@@ -152,7 +195,7 @@ def write_run(
     under the out dir and either the file's text or a writer called with
     the file's path. The manifest names the subcommand that ran. An output
     path that is an existing directory is a ConfigError before anything is
-    written."""
+    written, and an OSError while writing is one naming the path."""
     digest = _config_hash(resolved)  # also rejects non-finite config values
     if args.out:
         out = Path(args.out)
@@ -167,80 +210,36 @@ def write_run(
         out.mkdir(parents=True, exist_ok=True)
     except OSError as e:
         raise ConfigError(f"cannot create output directory {out}: {e.strerror}") from e
-    for key, (_, content) in outputs.items():
-        if isinstance(content, str):
-            written[key].write_text(content)
-        else:
-            content(written[key])
-    write_manifest(out, args.subcommand, resolved, inputs, written, wall_time_s)
+    try:
+        for key, (_, content) in outputs.items():
+            target = written[key]
+            if isinstance(content, str):
+                target.write_text(content)
+            else:
+                content(target)
+        target = out / "manifest.json"
+        write_manifest(out, args.subcommand, resolved, inputs, written, wall_time_s)
+    except OSError as e:
+        raise ConfigError(f"cannot write output {e.filename or target}: {e.strerror}") from e
     print(message(out))
     return 0
 
 
-def given(cfg: dict, kinds: dict, section: str | None = None) -> dict:
-    """The fields of ``kinds`` (name -> kind, as in ``need``) that a config
-    or one of its sections sets; the config dataclasses hold the defaults
-    of the rest."""
-    node = need(cfg, section, dict, {}) if section else cfg
-    where = section or "config"
-    return {f: need(node, f, k, where=where) for f, k in kinds.items() if f in node}
-
-
-def check_known(node, schema, path: str = "") -> None:
-    """A ConfigError naming the first key of config ``node`` that ``schema``
-    does not list, as a dotted path. A schema maps each key to the kind of
-    its value (as in ``need``), to the schema of a section, or to a
-    one-item list holding the schema of each entry of a list. A value of
-    the wrong type is left to ``need``."""
-    if isinstance(schema, list) and isinstance(node, list):
-        for i, entry in enumerate(node):
-            check_known(entry, schema[0], f"{path}{i}.")
-    elif isinstance(schema, dict) and isinstance(node, dict):
-        for key, value in node.items():
-            if key not in schema:
-                raise ConfigError(f"unknown field: {path}{key}")
-            check_known(value, schema[key], f"{path}{key}.")
-
-
-TRAIN_FIELDS = {
-    "epochs": int | None, "batch_size": int, "learning_rate": float | None,
-    "weight_decay": float, "seed": int, "kse_threshold": float | None,
-    "last_layer_frozen": bool, "phi": float | None, "freeze_last_layer": bool,
-}
-# "phi"/"freeze_last_layer" are the config-file spellings of two fields;
-# manifests echo the field names, and replaying a manifest must work too
-SPELLINGS = {"phi": "kse_threshold", "freeze_last_layer": "last_layer_frozen"}
-TRAIN_SECTIONS = {
-    "kse": {"alpha": float, "k_neighbors": int},
-    "network": {"depth": int, "channels": int, "input_slices": int},
-}
-
-
-def _train_config(cfg: dict, args, mode: str) -> TrainConfig:
-    """The run's TrainConfig. A key the command does not read is a
-    ConfigError; ``mode`` may be set (a manifest echoes it) only to the
-    command's own mode."""
-    sections = {s: given(cfg, kinds, s) for s, kinds in TRAIN_SECTIONS.items()}
-    if cfg.get("mode", mode) != mode:
-        raise ConfigError(f"field mode must be {mode!r} here, got {cfg['mode']!r}")
-    known = {"mode": str, "study" if mode == "n2n_online" else "dataset": str,
-             **TRAIN_FIELDS, **TRAIN_SECTIONS}
-    if mode != "scratch":
-        known["weights"] = str
-    check_known(cfg, known)
-    for spelling, field_name in SPELLINGS.items():
-        if spelling in cfg and field_name in cfg:
-            raise ConfigError(f"config sets both {spelling} and {field_name}")
-    kw = {SPELLINGS.get(k, k): v for k, v in given(cfg, TRAIN_FIELDS).items()}
-    for flag in ("epochs", "seed", *SPELLINGS):
-        if getattr(args, flag, None) is not None:
-            kw[SPELLINGS.get(flag, flag)] = getattr(args, flag)
-    return TrainConfig(
-        mode=mode,
-        kse=KseConfig(**sections["kse"]),
-        network=NetworkConfig(**sections["network"]),
-        **kw,
-    )
+def _train_config(cfg: dict, mode: str) -> tuple[dict[str, Path], TrainConfig]:
+    """A training run's input paths (its ``dataset`` or ``study``, and the
+    ``weights`` it starts from), taken out of its config ``cfg``, and its
+    TrainConfig, read from the rest. ``mode`` may be set (a manifest echoes
+    it) only to the command's own mode."""
+    keys = ["study" if mode == "n2n_online" else "dataset", "weights"][: 1 + (mode != "scratch")]
+    paths = {}
+    for key in keys:
+        if key not in cfg:
+            raise ConfigError(f"missing field: {key}")
+        paths[key] = Path(_read(cfg.pop(key), str, key))
+    tc = read_config({"mode": mode, **cfg}, TrainConfig)
+    if tc.mode != mode:
+        raise ConfigError(f"field mode must be {mode!r} here, got {tc.mode!r}")
+    return paths, tc
 
 
 def _study_at_level(args):
@@ -268,125 +267,118 @@ def _is_number(text: str) -> bool:
 
 # ---------------------------------------------------------------- gen-data
 
-LESION_FIELDS = {"lesion_radius": float, "lesion_contrast": float}
-GEN_DATA_FIELDS = {
-    "seed": int,
-    "image": {"height": int, "width": int, "slices": int},
-    # the manifest echoes protocol.seed, which must be the top-level seed
-    "protocol": {"psf_sigma": float, "count_budget": float, "seed": int},
-    "phantoms": {"n_train": int, "n_val": int, "n_lesions": int, **LESION_FIELDS},
-    "count_levels": list[float],
-    "test_studies": [{
-        "name": str, "n_lesions": int, "count_levels": list[float],
-        "n_realizations": int, "n2n_split": bool,
-        "ood_lesion": {"center": list[float], "radius": float, "contrast": float},
-    }],
-}
+def _at_least(config, **bounds) -> None:
+    """A ValueError naming the first field of ``config`` below its bound."""
+    for name, low in bounds.items():
+        if getattr(config, name) < low:
+            raise ValueError(f"{name} must be >= {low}, got {getattr(config, name)}")
+
+
+@dataclass(frozen=True)
+class ImageConfig:
+    height: int
+    width: int
+    slices: int = SLICES
+
+    def __post_init__(self):
+        PhantomSpec(self.height, self.width, self.slices)  # its size checks
+
+
+@dataclass(frozen=True)
+class PhantomsConfig:
+    n_train: int
+    n_val: int = 0
+    n_lesions: int = N_LESIONS
+    lesion_radius: float = LESION_RADIUS
+    lesion_contrast: float = LESION_CONTRAST
+
+    def __post_init__(self):
+        _at_least(self, n_train=1, n_val=0, n_lesions=0)
+        try:  # a drawn lesion's checks, made even when none is drawn
+            Lesion((0.0, 0.0), self.lesion_radius, self.lesion_contrast)
+        except ValueError as e:
+            raise ValueError(f"lesion_{e}")
+
+
+@dataclass(frozen=True)
+class TestStudyConfig:
+    name: str  # the study is written to studies/<name> below --out
+    n_lesions: int = N_LESIONS  # the study's own, not the dataset's
+    count_levels: tuple[float, ...] = STUDY_COUNT_LEVELS
+    n_realizations: int = N_REALIZATIONS
+    n2n_split: bool = False
+    ood_lesion: Lesion | None = None  # added to the drawn lesions
+
+    def __post_init__(self):
+        if not is_bare_name(self.name):
+            raise ValueError(f"name must be a bare directory name, got {self.name!r}")
+        _at_least(self, n_lesions=0, n_realizations=1)
+        level_keys(self.count_levels)
+
+
+@dataclass(frozen=True)
+class GenDataConfig:
+    seed: int
+    image: ImageConfig
+    protocol: ScanProtocol  # its seed is ``seed``, which it defaults to
+    phantoms: PhantomsConfig
+    count_levels: tuple[float, ...] = DATASET_COUNT_LEVELS
+    test_studies: tuple[TestStudyConfig, ...] = ()
+
+    def __post_init__(self):
+        if (got := self.protocol.seed) != self.seed:
+            raise ValueError(f"protocol.seed must equal seed ({self.seed}), got {got}")
+        if not level_keys(self.count_levels):
+            raise ValueError("count_levels must be nonempty")
+        names = [study.name for study in self.test_studies]
+        for i, study in enumerate(self.test_studies):
+            if study.name in names[:i]:
+                raise ValueError(f"test_studies.{i}.name must be unique, got {study.name!r} again")
+            if study.ood_lesion is not None:
+                try:
+                    PhantomSpec(self.image.height, self.image.width, lesions=(study.ood_lesion,))
+                except ValueError as e:
+                    raise ValueError(f"test_studies.{i}.ood_lesion must be in the image: {e}")
+
+
+def _gen_data_config(doc: dict) -> GenDataConfig:
+    """gen-data's config, whose ``protocol.seed`` defaults to ``seed``."""
+    if type(doc.get("protocol")) is dict and "seed" in doc:
+        doc = {**doc, "protocol": {"seed": doc["seed"], **doc["protocol"]}}
+    return read_config(doc, GenDataConfig)
 
 
 def cmd_gen_data(args) -> int:
-    cfg = load_config(args.config)
-    check_known(cfg, GEN_DATA_FIELDS)
-    seed = need(cfg, "seed", int)
-    protocol_seed = need(cfg, "protocol.seed", int, seed)
-    if protocol_seed != seed:
-        raise ConfigError(f"field protocol.seed must equal seed ({seed}), got {protocol_seed}")
-    h = need(cfg, "image.height", int)
-    w = need(cfg, "image.width", int)
-    slices = need(cfg, "image.slices", int, 5)
-    protocol = ScanProtocol(
-        psf_sigma=float(need(cfg, "protocol.psf_sigma", float)),
-        count_budget=float(need(cfg, "protocol.count_budget", float)),
-        seed=seed,
+    config = _gen_data_config(load_config(args.config))
+    image, phantoms, protocol = config.image, config.phantoms, config.protocol
+    rng = np.random.default_rng(config.seed)
+
+    draw = partial(  # draw(n_lesions) -> one phantom's spec
+        random_phantom_spec, rng, image.height, image.width, image.slices,
+        lesion_radius=phantoms.lesion_radius, lesion_contrast=phantoms.lesion_contrast,
     )
-    n_train = need(cfg, "phantoms.n_train", int)
-    if n_train < 1:
-        raise ConfigError(f"field phantoms.n_train must be >= 1, got {n_train}")
-    n_val = need(cfg, "phantoms.n_val", int, 0)
-    levels = tuple(need(cfg, "count_levels", list[float], list(DATASET_COUNT_LEVELS)))
-    resolved = {
-        "seed": seed,
-        "image": {"height": h, "width": w, "slices": slices},
-        "protocol": protocol.to_dict(),
-        "phantoms": cfg.get("phantoms", {}),
-        "count_levels": list(levels),
-        "test_studies": need(cfg, "test_studies", list[dict], []),
-    }
-    # each study is written to studies/<name>, so a name must stay inside
-    # --out and name one study
-    names = [need(t, "name", str, where="test_studies entry") for t in resolved["test_studies"]]
-    for name in names:
-        if not is_bare_name(name):
-            raise ConfigError(f"test study name {name!r} is not a bare directory name")
-    if len(set(names)) < len(names):
-        raise ConfigError(f"test study names are not unique: {names}")
-
-    # checked although no lesion may be drawn, which would check them
-    lesions = given(cfg, LESION_FIELDS, "phantoms")
-    if not lesions.get("lesion_radius", 1) > 0:
-        raise ConfigError(
-            "field phantoms.lesion_radius: lesion radius must be > 0, "
-            f"got {lesions['lesion_radius']}"
-        )
-    if not lesions.get("lesion_contrast", 0) >= 0:
-        raise ConfigError(
-            "field phantoms.lesion_contrast must be finite and >= 0, "
-            f"got {lesions['lesion_contrast']}"
-        )
-
-    rng = np.random.default_rng(seed)
-    n_lesions = given(cfg, {"n_lesions": int}, "phantoms")
-    specs = [
-        random_phantom_spec(rng, h, w, slices=slices, **lesions, **n_lesions)
-        for _ in range(n_train + n_val)
-    ]
-    dataset = build_dataset(specs, protocol, levels, n_val=n_val)
-    outputs = {
-        "dataset": ("dataset/dataset.json", lambda p: save_dataset(dataset, p.parent))
-    }
-    for name, tcfg in zip(names, resolved["test_studies"]):
-        # a test study draws its own lesion count, not the dataset's
-        spec = random_phantom_spec(
-            rng, h, w, slices=slices, **lesions, **given(tcfg, {"n_lesions": int})
-        )
-        ood = need(tcfg, "ood_lesion", dict | None, None)
+    specs = [draw(phantoms.n_lesions) for _ in range(phantoms.n_train + phantoms.n_val)]
+    dataset = build_dataset(specs, protocol, config.count_levels, n_val=phantoms.n_val)
+    outputs = {"dataset": ("dataset/dataset.json", lambda p: save_dataset(dataset, p.parent))}
+    for test in config.test_studies:
+        spec = draw(test.n_lesions)
+        ood = test.ood_lesion
         if ood is not None:
-            where = f"ood_lesion of test study {name!r}"
-            radius = float(need(ood, "radius", float, where=where))
-            contrast = float(need(ood, "contrast", float, where=where))
-            if not radius > 0:
-                raise ConfigError(f"field radius must be > 0, got {radius} (in {where})")
-            if not 0 <= contrast < math.inf:
-                raise ConfigError(
-                    f"field contrast must be finite and >= 0, got {contrast} (in {where})"
-                )
-            extra = Lesion(tuple(need(ood, "center", list[float], where=where)), radius, contrast)
-            try:
-                spec = replace(spec, lesions=spec.lesions + (extra,))
-            except ValueError as e:
-                raise ConfigError(f"{e} (in {where})") from e
-        study = make_study(spec, protocol, **given(tcfg, {
-            "count_levels": list[float], "n_realizations": int, "n2n_split": bool,
-        }))
+            spec = replace(spec, lesions=spec.lesions + (ood,))
+        study = make_study(spec, protocol, test.count_levels, test.n_realizations, test.n2n_split)
         try:
-            rois = {
-                "lesion": Roi(lesion_voxels(spec)),
-                "background": Roi(background_voxels(spec)),
-            }
+            rois = {"lesion": Roi(lesion_voxels(spec)), "background": Roi(background_voxels(spec))}
         except ValueError as e:
-            raise ConfigError(f"test study {name!r}: {e}") from e
+            raise ConfigError(f"test study {test.name!r}: {e}") from e
         if ood is not None:
-            ood_only = replace(spec, lesions=(extra,))
-            rois["ood_lesion"] = Roi(lesion_voxels(ood_only))
+            rois["ood_lesion"] = Roi(lesion_voxels(replace(spec, lesions=(ood,))))
 
         def write_study(path, study=study, rois=rois):
             save_study(study, path.parent)
             save_rois(rois, path.parent / "rois.json")
 
-        outputs[f"study:{name}"] = (f"studies/{name}/study.json", write_study)
-    return write_run(
-        args, resolved, {}, outputs, lambda out: f"dataset written to {out}"
-    )
+        outputs[f"study:{test.name}"] = (f"studies/{test.name}/study.json", write_study)
+    return write_run(args, asdict(config), {}, outputs, lambda out: f"dataset written to {out}")
 
 
 # ------------------------------------------------ train, tgd-finetune, n2n
@@ -395,13 +387,11 @@ def cmd_gen_data(args) -> int:
 def cmd_training(args, mode: str) -> int:
     """One training run of any protocol: from scratch or TGD fine-tuning
     on a dataset, or online N2N on a study's two-realization split."""
-    cfg = load_config(args.config)
-    source = "study" if mode == "n2n_online" else "dataset"
-    source_dir = Path(need(cfg, source, str))
-    tc = _train_config(cfg, args, mode)
-    resolved = {source: str(source_dir), **asdict(tc)}
-    if mode != "scratch":
-        resolved["weights"] = str(Path(need(cfg, "weights", str)))
+    paths, tc = _train_config(load_config(args.config), mode)
+    flags = {f.name: getattr(args, f.name, None) for f in fields(tc)}  # named after fields
+    tc = replace(tc, **{name: value for name, value in flags.items() if value is not None})
+    resolved = {**{key: str(path) for key, path in paths.items()}, **asdict(tc)}
+    source, source_dir = next(iter(paths.items()))  # the dataset or the study
     inputs = {source: source_dir / f"{source}.json"}
 
     if mode == "n2n_online":
@@ -414,7 +404,7 @@ def cmd_training(args, mode: str) -> int:
     if mode == "scratch":
         net, record = train_scratch(tc, dataset)
     else:
-        inputs["weights"] = Path(resolved["weights"])
+        inputs["weights"] = paths["weights"]
         base = load_weights(inputs["weights"], expect=tc.network)
         if mode == "tgd_finetune":
             net, record, masks = finetune_tgd(base, tc, dataset)
@@ -441,7 +431,7 @@ def cmd_training(args, mode: str) -> int:
 
 def cmd_kse_report(args) -> int:
     net = load_weights(args.weights)
-    kse = KseConfig(**given(vars(args), {"alpha": float, "k_neighbors": int}))
+    kse = KseConfig(**{f.name: getattr(args, f.name) for f in fields(KseConfig) if f.name in args})
     report = kse_scores(net, kse)
     sweep = []
     for t in SWEEP_THRESHOLDS:
@@ -600,14 +590,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_mask_flags(sp):
         add_train_flags(sp)
-        sp.add_argument("--phi", type=float, default=None, help="KSE threshold")
+        sp.add_argument(
+            "--phi", dest="kse_threshold", type=float, default=None, help="KSE threshold"
+        )
         freeze = sp.add_mutually_exclusive_group()
         freeze.add_argument(
-            "--freeze-last-layer", dest="freeze_last_layer",
+            "--freeze-last-layer", dest="last_layer_frozen",
             action="store_true", default=None,
         )
         freeze.add_argument(
-            "--no-freeze-last-layer", dest="freeze_last_layer", action="store_false"
+            "--no-freeze-last-layer", dest="last_layer_frozen", action="store_false"
         )
 
     sp = sub.add_parser("gen-data", help="generate a phantom dataset and test studies")

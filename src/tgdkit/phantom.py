@@ -29,6 +29,14 @@ import numpy as np
 # (short acquisitions vs. the full-length target)
 DATASET_COUNT_LEVELS = (0.05, 0.075, 0.1, 0.15, 0.2, 0.3)
 
+# defaults of a phantom and of a study, which gen-data's config fields share
+SLICES = 5
+N_LESIONS = 2
+LESION_RADIUS = 3.0
+LESION_CONTRAST = 2.0
+STUDY_COUNT_LEVELS = (1.0,)
+N_REALIZATIONS = 1
+
 # slice-profile modulation: geometry shrinks parabolically away from the
 # center slice so neighboring slices are similar but not identical
 SLICE_MODULATION = 0.1
@@ -59,12 +67,18 @@ class Lesion:
     radius: float
     contrast: float  # multiplier over the local background
 
+    def __post_init__(self):
+        if not self.radius > 0:  # NaN fails every comparison
+            raise ValueError(f"radius must be > 0, got {self.radius}")
+        if not 0 <= self.contrast < math.inf:
+            raise ValueError(f"contrast must be finite and >= 0, got {self.contrast}")
+
 
 @dataclass(frozen=True)
 class PhantomSpec:
     height: int
     width: int
-    slices: int = 5
+    slices: int = SLICES
     ellipses: tuple[Ellipse, ...] = ()
     lesions: tuple[Lesion, ...] = ()
     seed: int = 0
@@ -72,29 +86,22 @@ class PhantomSpec:
     def __post_init__(self):
         for side in ("height", "width", "slices"):
             if getattr(self, side) < 1:
-                raise ValueError(f"phantom {side} must be >= 1, got {getattr(self, side)}")
+                raise ValueError(f"{side} must be >= 1, got {getattr(self, side)}")
         for e in self.ellipses:
             if e.intensity < 0:
                 raise ValueError("ellipse intensity must be >= 0")
         for l in self.lesions:
-            if not l.radius > 0:
-                raise ValueError(f"lesion radius must be > 0, got {l.radius}")
-            if not 0 <= l.contrast < math.inf:
-                raise ValueError(f"lesion_contrast must be finite and >= 0, got {l.contrast}")
             y, x = l.center
             if not (l.radius <= y <= self.height - 1 - l.radius and
                     l.radius <= x <= self.width - 1 - l.radius):
                 raise ValueError(f"lesion at {l.center} r={l.radius} out of bounds")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
     @staticmethod
     def from_dict(d: dict) -> "PhantomSpec":
         return PhantomSpec(
             height=d["height"],
             width=d["width"],
-            slices=d.get("slices", 5),
+            slices=d.get("slices", SLICES),
             seed=d.get("seed", 0),
             ellipses=tuple(
                 Ellipse(tuple(e["center"]), tuple(e["axes"]), e["intensity"])
@@ -120,9 +127,6 @@ class ScanProtocol:
             raise ValueError("count_budget must be finite and positive")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
     @staticmethod
     def from_dict(d: dict) -> "ScanProtocol":
@@ -292,7 +296,7 @@ def level_key(fraction: float) -> str:
     return format(float(fraction), ".6g")
 
 
-def _level_keys(count_levels) -> list[str]:
+def level_keys(count_levels) -> list[str]:
     """The key of each count level. Levels must be finite and positive, and
     no two may share a key, which would keep only the last one's scans."""
     if not all(0 < frac < math.inf for frac in count_levels):
@@ -327,8 +331,8 @@ def _seeded_scan(truth, protocol: ScanProtocol, fraction: float, spawn_key: tupl
 def make_study(
     spec: PhantomSpec,
     protocol: ScanProtocol,
-    count_levels: tuple[float, ...] = (1.0,),
-    n_realizations: int = 1,
+    count_levels: tuple[float, ...] = STUDY_COUNT_LEVELS,
+    n_realizations: int = N_REALIZATIONS,
     n2n_split: bool = False,
 ) -> Study:
     """Generate a study: for each level fraction, n independent realizations
@@ -336,7 +340,7 @@ def make_study(
     acquisition into two equal-count halves under the key "n2n"."""
     if n_realizations < 1:
         raise ValueError(f"n_realizations must be >= 1, got {n_realizations}")
-    keys = _level_keys(count_levels)
+    keys = level_keys(count_levels)
     truth = generate_phantom(spec)
     realizations: dict[str, np.ndarray] = {}
     meta_levels: dict[str, dict] = {}
@@ -348,8 +352,8 @@ def make_study(
         realizations[key] = np.stack([vol for vol, _ in scans])
         meta_levels[key] = {"fraction": frac, "seeds": [seed for _, seed in scans]}
     metadata = {
-        "spec": spec.to_dict(),
-        "protocol": protocol.to_dict(),
+        "spec": asdict(spec),
+        "protocol": asdict(protocol),
         "levels": meta_levels,
     }
     if n2n_split:
@@ -402,7 +406,7 @@ def build_dataset(
         raise ValueError("count_levels must be nonempty")
     if not 0 <= n_val <= len(specs):
         raise ValueError("n_val out of range")
-    keys = _level_keys(count_levels)
+    keys = level_keys(count_levels)
     studies: list[StudyPair] = []
     for pid, spec in enumerate(specs):
         truth = generate_phantom(spec)
@@ -414,10 +418,10 @@ def build_dataset(
         studies.append(StudyPair(pid, truth, target, inputs))
     split = len(specs) - n_val
     manifest = {
-        "protocol": protocol.to_dict(),
+        "protocol": asdict(protocol),
         "count_levels": list(count_levels),
         "n_val": n_val,
-        "specs": [s.to_dict() for s in specs],
+        "specs": [asdict(s) for s in specs],
     }
     return DenoiseDataset(studies[:split], studies[split:], manifest)
 
@@ -426,10 +430,10 @@ def random_phantom_spec(
     rng: np.random.Generator,
     height: int,
     width: int,
-    slices: int = 5,
-    n_lesions: int = 2,
-    lesion_radius: float = 3.0,
-    lesion_contrast: float = 2.0,
+    slices: int = SLICES,
+    n_lesions: int = N_LESIONS,
+    lesion_radius: float = LESION_RADIUS,
+    lesion_contrast: float = LESION_CONTRAST,
 ) -> PhantomSpec:
     """Draw a plausible random phantom: one big body ellipse, a couple of
     interior ellipses, and hot lesions inside the body."""
@@ -554,7 +558,7 @@ def save_study(study: Study, directory) -> None:
     _save_volumes(
         Path(directory) / "study.json", volumes,
         realization_shapes={k: list(v.shape) for k, v in study.realizations.items()},
-        protocol=study.protocol.to_dict(),
+        protocol=asdict(study.protocol),
         metadata=study.metadata,
     )
 

@@ -58,8 +58,9 @@ class TrainConfig:
     learning_rate: float | None = None  # None -> DEFAULT_LR[mode], likewise
     weight_decay: float = 1e-5
     seed: int = 0
-    kse_threshold: float | None = None
-    last_layer_frozen: bool = True
+    # config files may also spell these two "phi" and "freeze_last_layer"
+    kse_threshold: float | None = field(default=None, metadata={"spelling": "phi"})
+    last_layer_frozen: bool = field(default=True, metadata={"spelling": "freeze_last_layer"})
     kse: KseConfig = field(default_factory=KseConfig)
     network: NetworkConfig = field(default_factory=NetworkConfig)
 

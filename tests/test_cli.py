@@ -9,9 +9,10 @@ import sys
 import tempfile
 import time
 import warnings
-from dataclasses import asdict
+from dataclasses import asdict, fields, is_dataclass
 from functools import partial
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 import pytest
@@ -119,7 +120,7 @@ class TestGenData:
         [
             ("phantoms", "n_train", -1, "phantoms.n_train"),
             ("phantoms", "n_lesions", -1, "n_lesions"),
-            ("phantoms", "lesion_radius", -3, "lesion radius"),
+            ("phantoms", "lesion_radius", -3, "phantoms.lesion_radius"),
             ("phantoms", "lesion_contrast", -2, "lesion_contrast"),
             ("test_studies", "n_realizations", 0, "n_realizations"),
             ("test_studies", "count_levels", [0], "count_levels"),
@@ -162,9 +163,9 @@ class TestGenData:
     @pytest.mark.parametrize(
         "change,named",
         [
-            ({"contrast": -1}, "field contrast must be finite and >= 0"),
-            ({"radius": 0}, "field radius must be > 0"),
-            ({"center": [1, 1]}, "out of bounds"),
+            ({"contrast": -1}, "field test_studies.0.ood_lesion.contrast must be finite and >= 0"),
+            ({"radius": 0}, "field test_studies.0.ood_lesion.radius must be > 0"),
+            ({"center": [1, 1]}, "field test_studies.0.ood_lesion must be in the image"),
         ],
         ids=["contrast", "radius", "center"],
     )
@@ -174,8 +175,7 @@ class TestGenData:
         ood = {"center": [8.0, 8.0], "radius": 2.0, "contrast": 3.0, **change}
         cfg = gen_config(tmp_path, test_studies=[{"name": "probe", "ood_lesion": ood}])
         assert main(["gen-data", str(cfg), "--out", str(tmp_path / "o")]) == 2
-        err = capsys.readouterr().err
-        assert named in err and "(in ood_lesion of test study 'probe')" in err
+        assert f"config error: {named}" in capsys.readouterr().err
         assert list(tmp_path.rglob("*")) == [cfg]
 
     @pytest.mark.parametrize(
@@ -320,6 +320,20 @@ class TestRunTargets:
         assert main(argv) == 2
         assert f"config error: output {out / name} is a directory" in capsys.readouterr().err
         assert [p.name for p in out.iterdir()] == [name]
+
+    def test_output_that_cannot_be_written_is_config_error_naming_it(
+        self, workspace, tmp_path, capsys
+    ):
+        # a dangling symlink into a missing directory passes the checks made
+        # before writing; the outputs written before it may remain
+        out = tmp_path / "o"
+        out.mkdir()
+        (out / "sweep.txt").symlink_to(tmp_path / "missing" / "sweep.txt")
+        argv = ["kse-report", str(workspace / "base" / "weights.tgdw"), "--out", str(out)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"config error: cannot write output {out / 'sweep.txt'}: " in err
+        assert not (out / "manifest.json").exists()
 
 
 class TestTgdFinetune:
@@ -904,7 +918,7 @@ def set_field(doc, dotted, value):
     *head, last = dotted.split(".")
     for part in head:
         doc = doc[int(part)] if isinstance(doc, list) else doc.setdefault(part, {})
-    doc[last] = value
+    doc[int(last) if isinstance(doc, list) else last] = value
 
 
 # (subcommand, dotted config path, a value of the wrong JSON type)
@@ -1034,8 +1048,8 @@ class TestGenDataConfigKeys:
     @pytest.mark.parametrize(
         "field,value,message",
         [
-            ("lesion_radius", 0, "field phantoms.lesion_radius: lesion radius must be > 0"),
-            ("lesion_radius", -1.5, "field phantoms.lesion_radius: lesion radius must be > 0"),
+            ("lesion_radius", 0, "field phantoms.lesion_radius must be > 0"),
+            ("lesion_radius", -1.5, "field phantoms.lesion_radius must be > 0"),
             ("lesion_contrast", -2, "field phantoms.lesion_contrast must be finite and >= 0"),
         ],
     )
@@ -1048,7 +1062,8 @@ class TestGenDataConfigKeys:
             test_studies=[{"name": "probe", "n_lesions": 0}],
         )
         assert main(["gen-data", str(cfg), "--out", str(tmp_path / "o")]) == 2
-        assert f"config error: {message}, got {value}" in capsys.readouterr().err
+        # a JSON int read for a float field is a float
+        assert f"config error: {message}, got {float(value)}" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
 
@@ -1066,6 +1081,92 @@ class TestSpellings:
         err = capsys.readouterr().err
         assert "config error" in err and spelling in err and field in err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("key", ["phi", "kse_threshold"])
+    def test_bad_value_is_config_error_naming_the_key_the_config_used(
+        self, workspace, tmp_path, capsys, key
+    ):
+        cfg = n2n_config(workspace)
+        del cfg["phi"]
+        (tmp_path / "c.json").write_text(json.dumps({**cfg, key: -1}))
+        assert main(["n2n", str(tmp_path / "c.json"), "--out", str(tmp_path / "o")]) == 2
+        assert f"config error: field {key} must be finite and >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+
+def config_leaves(cls, prefix=""):
+    """(dotted path, type) of every leaf field of config dataclass ``cls``,
+    under each of its spellings; a list field also yields its first entry."""
+    hints = get_type_hints(cls)
+    for f in fields(cls):
+        for key in filter(None, (f.name, f.metadata.get("spelling"))):
+            yield from kind_leaves(hints[f.name], prefix + key)
+
+
+def kind_leaves(kind, path):
+    if is_dataclass(kind):
+        yield from config_leaves(kind, path + ".")
+        return
+    yield path, kind
+    args = get_args(kind)
+    if get_origin(kind) is tuple:
+        yield from kind_leaves(args[0], path + ".0")
+    else:
+        for arg in filter(is_dataclass, args):  # X | None
+            yield from config_leaves(arg, path + ".")
+
+
+LEAVES = [("gen-data", path, kind) for path, kind in config_leaves(cli.GenDataConfig)]
+LEAVES += [("train", path, kind) for path, kind in config_leaves(TrainConfig)]
+
+
+def readme_example(name: str) -> dict:
+    """The JSON block that follows "Example `<name>`" in README.md."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = text.split(f"Example `{name}`", 1)[1].split("```json\n", 1)[1]
+    return json.loads(block.split("```", 1)[0])
+
+
+class TestConfigReader:
+    @pytest.mark.parametrize("sub,path,kind", LEAVES, ids=[f"{s}-{p}" for s, p, _ in LEAVES])
+    def test_wrong_kind_is_config_error_naming_it_before_any_work(
+        self, workspace, tmp_path, capsys, monkeypatch, sub, path, kind
+    ):
+        def never(*args, **kwargs):
+            raise AssertionError("did work although a config field has the wrong kind")
+
+        for name in ("load_dataset", "load_study", "load_weights", "random_phantom_spec"):
+            monkeypatch.setattr(cli, name, never)
+        if sub == "gen-data":
+            ood = {"center": [8.0, 8.0], "radius": 2.0, "contrast": 3.0}
+            doc = json.loads(gen_config(tmp_path).read_text())
+            doc["test_studies"][0]["ood_lesion"] = ood
+        else:
+            doc = json.loads((workspace / "train.json").read_text())
+        set_field(doc, path, 1.5 if kind is str else "x")
+        (tmp_path / "gen.json").write_text(json.dumps(doc))
+        assert main([sub, str(tmp_path / "gen.json"), "--out", str(tmp_path / "o")]) == 2
+        assert f"config error: field {path} must be" in capsys.readouterr().err
+        assert [f.name for f in tmp_path.iterdir()] == ["gen.json"]
+
+    def test_int_for_a_float_field_writes_the_bytes_of_the_float(self, tmp_path):
+        runs = []
+        for budget, sigma in ((50000, 1), (50000.0, 1.0)):
+            d = tmp_path / repr(budget)
+            d.mkdir()
+            cfg = gen_config(d, protocol={"psf_sigma": sigma, "count_budget": budget})
+            assert main(["gen-data", str(cfg), "--out", str(d / "o")]) == 0
+            runs.append([
+                (d / "o" / name).read_bytes()
+                for name in ("dataset/dataset.json", "studies/probe/study.json")
+            ])
+        assert runs[0] == runs[1]
+
+    def test_readme_examples_are_read_by_their_command(self):
+        config = cli._gen_data_config(readme_example("gen.json"))
+        assert config.protocol.count_budget == 200000.0
+        paths, tc = cli._train_config(readme_example("train.json"), "scratch")
+        assert list(paths) == ["dataset"] and tc.epochs == 200
 
 
 class TestDirectoryPaths:

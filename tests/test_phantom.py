@@ -113,7 +113,7 @@ class TestGeneratePhantom:
 
     @pytest.mark.parametrize("contrast", [-2.0, float("nan"), float("inf")])
     def test_negative_or_non_finite_lesion_contrast_rejected(self, contrast):
-        with pytest.raises(ValueError, match="lesion_contrast"):
+        with pytest.raises(ValueError, match="contrast must be finite and >= 0"):
             body_spec(lesions=(Lesion((20, 20), 3.0, contrast),))
 
 
